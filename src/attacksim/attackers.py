@@ -194,7 +194,7 @@ class PathfinderAttacker(AttackerPolicy):
         if self._plan_stale(state):
             self._replan(state)
         choice = self._next_on_plan(state, surface)
-        if choice is None:
+        if choice is None and self._target is not None:
             self._replan(state)
             choice = self._next_on_plan(state, surface)
         if choice is None:
@@ -202,11 +202,12 @@ class PathfinderAttacker(AttackerPolicy):
         return choice
 
     def _plan_stale(self, state) -> bool:
-        if self._target is None:
-            return True
+        # With no flag reachable, only an enable can change that: compromise
+        # only works steps that are already reachable, and captured flags
+        # only grow. So "no target" holds until state.enabled changes.
         if frozenset(state.enabled) != self._enabled_seen:
             return True
-        return self._target in state.captured_flags
+        return self._target is not None and self._target in state.captured_flags
 
     def _next_on_plan(self, state, surface) -> str | None:
         if self._target is None:

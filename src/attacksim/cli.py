@@ -25,7 +25,6 @@ from .graph import (
     default_rewards,
     load_graph_file,
     save_graph_file,
-    validate,
 )
 from .attackers import make_attacker
 
@@ -50,9 +49,9 @@ def _resolve_graph(ref: str):
             f"graph {ref!r} is neither a file nor a bundled graph "
             f"(bundled: {', '.join(bundled_graph_names())})"
         )
-    violations = validate(graph)
+    violations = graph.violations()
     if violations:
-        raise ValueError(f"invalid graph {ref!r}: {violations}")
+        raise ValueError(f"invalid graph {ref!r}: {list(violations)}")
     return graph
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import AttackGraph, RewardConfig, attack_surface, validate
+from .graph import AttackGraph, RewardConfig, attack_surface, workable
 
 # stream contexts keep evaluation, training and ad-hoc rollouts on disjoint
 # RNG streams even when they share a master seed
@@ -50,14 +50,17 @@ class Observation:
         return np.concatenate([self.attack_bits, self.defense_bits]).astype(np.float64)
 
     def bitstring(self) -> str:
-        return "".join(str(int(b)) for b in self.attack_bits) + "".join(
-            str(int(b)) for b in self.defense_bits
-        )
+        bits = np.concatenate([self.attack_bits, self.defense_bits]).astype(np.uint8, copy=False)
+        return (bits + ord("0")).tobytes().decode("ascii")
 
 
 @dataclass
 class SimState:
-    """Mutable per-episode state, owned by exactly one episode runner."""
+    """Mutable per-episode state, owned by exactly one episode runner.
+
+    `surface` is the attack surface of `compromised` and `enabled`, kept
+    current by `step()`; code that edits those sets directly must not rely
+    on it afterwards."""
 
     graph: AttackGraph
     noise: NoiseConfig
@@ -68,6 +71,7 @@ class SimState:
     enabled: set[str]
     captured_flags: set[str]
     rng: np.random.Generator
+    surface: set[str]
 
 
 @dataclass(frozen=True)
@@ -139,23 +143,25 @@ def init_episode(
     """Fresh episode state: only the entry step compromised, no defenses
     enabled, TTCs sampled. `seed` may be a master seed (the environment
     stream is derived from it) or an already-derived Generator."""
-    violations = validate(graph)
+    violations = graph.violations()
     if violations:
-        raise ValueError(f"invalid graph: {violations}")
+        raise ValueError(f"invalid graph: {list(violations)}")
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = episode_streams(seed, episode, context)[0]
+    compromised = {graph.entry_id}
     return SimState(
         graph=graph,
         noise=noise,
         rewards=rewards,
         t=0,
         remaining_ttc=sample_ttc(graph, rng),
-        compromised={graph.entry_id},
+        compromised=compromised,
         enabled=set(),
         captured_flags=set(),
         rng=rng,
+        surface=attack_surface(graph, compromised, ()),
     )
 
 
@@ -192,22 +198,32 @@ def reward_of(
     )
 
 
+def _recheck(state: SimState, step_ids) -> None:
+    """Re-apply the surface rule to `step_ids` after one of their parents
+    changed."""
+    graph, surface = state.graph, state.surface
+    for sid in step_ids:
+        if workable(graph, sid, state.compromised, state.enabled):
+            surface.add(sid)
+        else:
+            surface.discard(sid)
+
+
 def step(
     state: SimState,
     attacker_action: str | None,
     defender_action: str | None,
-    surface: set[str] | None = None,
 ) -> StepOutcome:
     """Advance one time-step.
 
     The defender's enable resolves before the attacker's work, so a step
     blocked this very step cannot be compromised. The attacker's action must
-    come from the surface as it stood when actions were chosen (pass it via
-    `surface` to avoid recomputation); the engine enforces both masks.
+    come from `state.surface` as it stood when actions were chosen; the
+    engine enforces both masks and keeps `state.surface` current in
+    O(children of the changed steps).
     """
     graph = state.graph
-    if surface is None:
-        surface = attack_surface(graph, state.compromised, state.enabled)
+    surface = state.surface
 
     if attacker_action is None:
         if surface:
@@ -225,33 +241,31 @@ def step(
     if defender_action is not None:
         state.enabled.add(defender_action)
         for child in graph.children(defender_action):
-            state.compromised.discard(child)
+            surface.discard(child)
+            if child in state.compromised:
+                state.compromised.discard(child)
+                _recheck(state, graph.children(child))
 
     # 2) attacker works its chosen step unless the defender's move just
     #    removed it from the surface
     flags_now: set[str] = set()
-    if attacker_action is not None:
-        still_workable = (
-            attacker_action
-            in attack_surface(graph, state.compromised, state.enabled)
-            if defender_action is not None
-            else True
-        )
-        if still_workable:
-            state.remaining_ttc[attacker_action] -= 1.0
-            if state.remaining_ttc[attacker_action] <= 0.0:
-                state.compromised.add(attacker_action)
-                if (
-                    graph.step(attacker_action).is_flag
-                    and attacker_action not in state.captured_flags
-                ):
-                    state.captured_flags.add(attacker_action)
-                    flags_now.add(attacker_action)
+    if attacker_action is not None and attacker_action in surface:
+        state.remaining_ttc[attacker_action] -= 1.0
+        if state.remaining_ttc[attacker_action] <= 0.0:
+            state.compromised.add(attacker_action)
+            surface.discard(attacker_action)
+            _recheck(state, graph.children(attacker_action))
+            if (
+                graph.step(attacker_action).is_flag
+                and attacker_action not in state.captured_flags
+            ):
+                state.captured_flags.add(attacker_action)
+                flags_now.add(attacker_action)
 
     # 3) reward, 4) next observation, 5) termination
     reward = reward_of(state, flags_now, state.rewards)
     observation = observe(state)
-    done = not attack_surface(graph, state.compromised, state.enabled)
+    done = not surface
     state.t += 1
     return StepOutcome(
         reward=reward,
@@ -310,12 +324,12 @@ def run_episode(
     truncated = False
     sampled = dict(state.remaining_ttc)
     while True:
-        surface = attack_surface(graph, state.compromised, state.enabled)
+        surface = state.surface
         attacker_action = attacker.select(state, surface) if surface else None
         mask = tuple(d for d in graph.defense_ids if d not in state.enabled)
         defender_action = defender.select(obs, mask)
         t = state.t
-        outcome = step(state, attacker_action, defender_action, surface=surface)
+        outcome = step(state, attacker_action, defender_action)
         cumulative += outcome.reward
         rows.append(
             StepRow(

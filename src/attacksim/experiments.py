@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .graph import AttackGraph, RewardConfig, default_rewards
 from .generate import GenConfig, generate
@@ -168,6 +167,10 @@ def noise_grid(values: list[float] | tuple[float, ...]) -> list[tuple[float, flo
 def reward_ttest(rewards_a, rewards_b) -> float:
     """Welch two-sample t-test p-value on per-episode rewards; degenerate
     zero-variance pairs resolve by mean equality."""
+    # imported here: scipy takes about a second and 60 MB to import, and
+    # nothing else in the package needs it
+    from scipy import stats as scipy_stats
+
     a = np.asarray(rewards_a, dtype=np.float64)
     b = np.asarray(rewards_b, dtype=np.float64)
     if a.std() == 0.0 and b.std() == 0.0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AttackGraph, AttackStep, DefenseStep, validate
+from .graph import AttackGraph, AttackStep, DefenseStep
 
 FLAG_INTERVAL = 20  # one flag (and one defense) per 20 attack steps
 
@@ -95,7 +95,7 @@ def generate(config: GenConfig) -> AttackGraph:
     graph = AttackGraph(
         attack_steps=attack_steps, defense_steps=defense_steps, edges=frozenset(edges)
     )
-    violations = validate(graph)
+    violations = graph.violations()
     if violations:
-        raise RuntimeError(f"generator produced an invalid graph: {violations}")
+        raise RuntimeError(f"generator produced an invalid graph: {list(violations)}")
     return graph

@@ -10,6 +10,7 @@ after construction and safe to share across concurrent episode runners.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable
@@ -119,6 +120,15 @@ class AttackGraph:
     def total_ttc(self) -> float:
         return sum(s.ttc_mean for s in self.attack_steps)
 
+    def violations(self) -> tuple[str, ...]:
+        """`validate(self)`, computed on first use and kept: the graph is
+        immutable, so its violations never change."""
+        cached = self.__dict__.get("_violations")
+        if cached is None:
+            cached = tuple(validate(self))
+            object.__setattr__(self, "_violations", cached)
+        return cached
+
 
 def validate(graph: AttackGraph) -> list[str]:
     """Return every invariant violation, in deterministic (rule, id) order.
@@ -196,16 +206,30 @@ def _reachable_from(graph: AttackGraph, start: str) -> set[str]:
     return reachable
 
 
+def workable(
+    graph: AttackGraph, step_id: str, compromised: set[str], enabled: set[str]
+) -> bool:
+    """The attack-surface rule for one attack step: it is uncompromised,
+    (1) some compromised attack step has an edge to it, (2) its AND/OR
+    parent requirement is met by the compromised set, and (3) no enabled
+    defense step is one of its parents. Costs O(parents of the step)."""
+    if step_id in compromised:
+        return False
+    parents = graph.attack_parents(step_id)
+    n_compromised = sum(1 for p in parents if p in compromised)
+    if n_compromised == 0:
+        return False
+    if graph.step(step_id).logic == "and" and n_compromised != len(parents):
+        return False
+    return not any(d in enabled for d in graph.defense_parents(step_id))
+
+
 def attack_surface(
     graph: AttackGraph, compromised: Iterable[str], enabled: Iterable[str]
 ) -> set[str]:
-    """Attack steps the attacker can currently work on.
-
-    A step is on the surface iff (1) some compromised attack step has an edge
-    to it, (2) its AND/OR parent requirement is met by the compromised set,
-    and (3) no enabled defense step is one of its parents. Steps already
-    compromised are excluded.
-    """
+    """Attack steps the attacker can currently work on: every step that is
+    `workable`. Rescans the whole graph; the engine keeps the same set up to
+    date per step in `SimState.surface`, and this is its reference."""
     compromised = set(compromised)
     enabled = set(enabled)
     unknown = compromised - set(graph.attack_ids)
@@ -214,21 +238,7 @@ def attack_surface(
     unknown = enabled - set(graph.defense_ids)
     if unknown:
         raise ValueError(f"unknown defense step id(s) in enabled: {sorted(unknown)}")
-
-    surface = set()
-    for step in graph.attack_steps:
-        if step.id in compromised:
-            continue
-        parents = graph.attack_parents(step.id)
-        n_compromised = sum(1 for p in parents if p in compromised)
-        if n_compromised == 0:
-            continue
-        if step.logic == "and" and n_compromised != len(parents):
-            continue
-        if any(d in enabled for d in graph.defense_parents(step.id)):
-            continue
-        surface.add(step.id)
-    return surface
+    return {sid for sid in graph.attack_ids if workable(graph, sid, compromised, enabled)}
 
 
 def flag_cost(graph: AttackGraph) -> float:
@@ -281,6 +291,8 @@ def load_graph(text: str) -> AttackGraph:
         ttc = entry.get("ttc", 0)
         if not isinstance(ttc, (int, float)) or isinstance(ttc, bool):
             raise GraphFormatError(f"{where}.ttc: expected a number, got {ttc!r}")
+        if not math.isfinite(ttc):
+            raise GraphFormatError(f"{where}.ttc: expected a finite number, got {ttc!r}")
         flag = _expect_bool(entry, "flag", where, default=False)
         is_entry = _expect_bool(entry, "entry", where, default=False)
         attack_steps.append(
@@ -316,9 +328,9 @@ def load_graph(text: str) -> AttackGraph:
         defense_steps=tuple(defense_steps),
         edges=frozenset(edges),
     )
-    violations = validate(graph)
+    violations = graph.violations()
     if violations:
-        raise GraphFormatError(f"document violates graph invariants: {violations}")
+        raise GraphFormatError(f"document violates graph invariants: {list(violations)}")
     return graph
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .graph import AttackGraph, RewardConfig, attack_surface
+from .graph import AttackGraph, RewardConfig
 from . import engine
 from .engine import NoiseConfig, episode_streams
 
@@ -399,7 +399,7 @@ def collect_batch(
         total = 0.0
         steps = 0
         while True:
-            surface = attack_surface(graph, state.compromised, state.enabled)
+            surface = state.surface
             attacker_action = attacker.select(state, surface) if surface else None
             mask = tuple(d for d in defense_ids if d not in state.enabled)
             legal = legal_action_mask(defense_ids, mask)
@@ -408,7 +408,7 @@ def collect_batch(
             action = sample_action(probs, legal, defender_rng)
             defender_action = defense_ids[action] if action < len(defense_ids) else None
 
-            outcome = engine.step(state, attacker_action, defender_action, surface=surface)
+            outcome = engine.step(state, attacker_action, defender_action)
             steps += 1
             done = outcome.done or steps >= cap
 

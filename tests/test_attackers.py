@@ -14,6 +14,7 @@ from attacksim.graph import (
     default_rewards,
 )
 from attacksim.engine import NoiseConfig, init_episode, run_episode, step
+from attacksim import attackers as attackers_module
 from attacksim.attackers import (
     MixtureAttacker,
     attainment_costs,
@@ -195,7 +196,7 @@ class TestBreadthFirst:
         attacker.reset(g, state, np.random.default_rng(3))
         surface = attack_surface(g, state.compromised, state.enabled)
         first = attacker.select(state, surface)
-        step(state, first, "d" if first == "a" else None, surface=surface)
+        step(state, first, "d" if first == "a" else None)
         surface = attack_surface(g, state.compromised, state.enabled)
         second = attacker.select(state, surface)
         if first == "a":
@@ -368,7 +369,7 @@ class TestPathfinder:
         surface = attack_surface(g, state.compromised, state.enabled)
         assert attacker.select(state, surface) == "left"
         # the defender cuts the cheap arm in the same step
-        step(state, "left", "d_left", surface=surface)
+        step(state, "left", "d_left")
         surface = attack_surface(g, state.compromised, state.enabled)
         assert surface == {"right"}
         assert attacker.select(state, surface) == "right"
@@ -416,6 +417,40 @@ class TestPathfinder:
         surface = attack_surface(g, state.compromised, state.enabled)
         assert surface == {"a"}
         assert attacker.select(state, surface) == "a"
+
+    def test_no_replan_while_no_flag_reachable(self, monkeypatch):
+        steps = (
+            AttackStep(id="entry", is_entry=True),
+            AttackStep(id="a", ttc_mean=5.0),
+            AttackStep(id="b", ttc_mean=5.0),
+            AttackStep(id="f", ttc_mean=5.0, is_flag=True),
+        )
+        g = AttackGraph(
+            attack_steps=steps,
+            defense_steps=(DefenseStep(id="d"), DefenseStep(id="d2")),
+            edges=frozenset(
+                {("entry", "a"), ("entry", "b"), ("entry", "f"), ("d", "f"), ("d2", "a")}
+            ),
+        )
+        calls = []
+        real = attackers_module.attainment_costs
+        monkeypatch.setattr(
+            attackers_module, "attainment_costs", lambda *args: calls.append(1) or real(*args)
+        )
+        state = fresh_state(g)
+        state.remaining_ttc.update({"a": 10.0, "b": 10.0, "f": 10.0})
+        attacker = make_attacker("pathfinder")
+        attacker.reset(g, state, np.random.default_rng(0))
+        assert attacker.select(state, state.surface) == "f"
+        step(state, "f", "d")  # cuts the only flag
+        step(state, attacker.select(state, state.surface), None)
+        calls.clear()
+        for _ in range(5):
+            step(state, attacker.select(state, state.surface), None)
+        assert calls == []
+        step(state, attacker.select(state, state.surface), "d2")
+        assert attacker.select(state, state.surface) == "b"
+        assert calls == [1]
 
 
 class TestMixture:
@@ -496,4 +531,4 @@ class TestActionsAlwaysOnSurface:
                 action = attacker.select(state, surface)
                 assert action in surface
                 mask = tuple(d for d in g.defense_ids if d not in state.enabled)
-                step(state, action, defender.select(None, mask), surface=surface)
+                step(state, action, defender.select(None, mask))

@@ -128,7 +128,7 @@ class TestTripwire:
                 if action is not None:
                     children = g.children(action)
                     assert any(c in state.compromised for c in children)
-                outcome = step(state, attacker.select(state, surface), action, surface=surface)
+                outcome = step(state, attacker.select(state, surface), action)
                 obs = outcome.observation
 
     def test_fnr_zero_reacts_next_step(self):

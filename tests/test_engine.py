@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from attacksim import graph as graph_module
 from attacksim.graph import (
     AttackGraph,
     AttackStep,
@@ -25,6 +27,8 @@ from attacksim.engine import (
 )
 from attacksim.attackers import make_attacker
 from attacksim.defenders import make_defender
+
+from conftest import build_random_graph, surface_oracle
 
 NO_NOISE = NoiseConfig(fpr=0.0, fnr=0.0)
 UNIT_REWARDS = RewardConfig(defense_cost=1.0, flag_cost=10.0)
@@ -93,6 +97,15 @@ class TestInitEpisode:
         bad = AttackGraph(attack_steps=(AttackStep(id="a"),))
         with pytest.raises(ValueError, match="invalid graph"):
             init_episode(bad, NO_NOISE, UNIT_REWARDS, seed=1)
+
+    def test_graph_validated_once_across_episodes(self, monkeypatch):
+        g = chain_graph([1.0, 2.0])
+        calls = []
+        real = graph_module.validate
+        monkeypatch.setattr(graph_module, "validate", lambda gr: calls.append(gr) or real(gr))
+        for seed in range(3):
+            init_episode(g, NO_NOISE, UNIT_REWARDS, seed=seed)
+        assert len(calls) == 1
 
 
 class TestObserve:
@@ -245,6 +258,59 @@ class TestStep:
             step(state, None, "d")
 
 
+def _cutting_defenses(graph, state, disabled):
+    """Disabled defenses whose enable uncompromises a step that has
+    children on the surface."""
+    return [
+        d
+        for d in disabled
+        if any(
+            c in state.compromised and any(gc in state.surface for gc in graph.children(c))
+            for c in graph.children(d)
+        )
+    ]
+
+
+class TestMaintainedSurface:
+    def test_uncompromise_removes_children_from_surface(self):
+        # entry -> s1 -> s2, defense d on s1: enabling d after s1 fell
+        # uncompromises s1, so s2 must leave the surface with it
+        g = chain_graph([1.0, 1.0], flag_last=False, defense_on="s1")
+        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=1)
+        state.remaining_ttc["s1"] = 1.0
+        step(state, "s1", None)
+        assert state.surface == {"s2"}
+        outcome = step(state, "s2", "d")
+        assert state.compromised == {"entry"}
+        assert state.surface == set()
+        assert outcome.done
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_after_every_step(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = build_random_graph(rng, ttc_range=(0.5, 3.0))
+        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=int(rng.integers(1000)))
+        assert state.surface == surface_oracle(g, state.compromised, state.enabled)
+        for _ in range(200):
+            if not state.surface:
+                break
+            options = sorted(state.surface)
+            attacker_action = options[int(rng.integers(len(options)))]
+            disabled = [d for d in g.defense_ids if d not in state.enabled]
+            cutting = _cutting_defenses(g, state, disabled)
+            roll = rng.random()
+            if cutting and roll < 0.3:
+                defender_action = cutting[int(rng.integers(len(cutting)))]
+            elif disabled and roll < 0.4:
+                defender_action = disabled[int(rng.integers(len(disabled)))]
+            else:
+                defender_action = None
+            outcome = step(state, attacker_action, defender_action)
+            assert state.surface == surface_oracle(g, state.compromised, state.enabled)
+            assert outcome.done == (not state.surface)
+
+
 class TestMinRewardBound:
     def test_hand_evaluated(self):
         g = chain_graph([1.0, 1.0], flag_last=True)
@@ -358,7 +424,7 @@ class TestRunEpisode:
             if not surface:
                 break
             action = attacker.select(state, surface)
-            outcome = step(state, action, None, surface=surface)
+            outcome = step(state, action, None)
             truth = [int(s in state.compromised) for s in g.attack_ids]
             assert outcome.observation.attack_bits.tolist() == truth
 

@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -274,3 +278,15 @@ class TestRewardTtest:
         rng = np.random.default_rng(1)
         b = rng.normal(-3.0, 0.5, size=100)
         assert reward_ttest(a, b) < 0.001
+
+    def test_importing_experiments_leaves_scipy_unloaded(self):
+        # scipy costs about a second to import; only reward_ttest needs it
+        src = pathlib.Path(experiments.__file__).resolve().parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import attacksim.experiments; print('scipy' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"

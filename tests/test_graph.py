@@ -270,6 +270,15 @@ class TestDocumentFormat:
         with pytest.raises(GraphFormatError, match="logic"):
             load_graph(doc)
 
+    @pytest.mark.parametrize("ttc", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_ttc_is_a_parse_error_naming_the_field(self, ttc):
+        doc = (
+            '{"attack_steps": [{"id": "e", "entry": true}, '
+            f'{{"id": "a", "ttc": {ttc}, "flag": true}}], "edges": [["e", "a"]]}}'
+        )
+        with pytest.raises(GraphFormatError, match=r"attack_steps\[1\]\.ttc"):
+            load_graph(doc)
+
     def test_invalid_graph_reported_at_load(self):
         doc = json.dumps(
             {
