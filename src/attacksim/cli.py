@@ -10,6 +10,7 @@ error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -112,19 +113,20 @@ def _add_hyperparam_flags(parser):
 
 
 def _hp_from_args(args, iterations) -> ppo.HyperParams:
-    return ppo.HyperParams(
-        k_vf=args.k_vf,
-        k_s=args.k_s,
-        k_kl=args.k_kl,
-        train_batch=args.train_batch,
-        minibatch=args.minibatch,
-        vf_clip=args.vf_clip,
-        clip_eps=args.clip_eps,
-        lr=args.lr,
-        gamma=args.gamma,
-        gae_lambda=args.gae_lambda,
-        iterations=iterations,
-    )
+    # every HyperParams field but iterations has a flag of the same name
+    names = [f.name for f in dataclasses.fields(ppo.HyperParams) if f.name != "iterations"]
+    return ppo.HyperParams(iterations=iterations, **{name: getattr(args, name) for name in names})
+
+
+def _add_experiment_flags(parser):
+    parser.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
+    parser.add_argument("--seeds", type=_parse_seeds, default=experiments.DESK_SEEDS)
+    parser.add_argument("--iterations", type=int, default=experiments.DESK_ITERATIONS)
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--timing", action="store_true", help="record wall-clock training seconds (output no longer byte-stable)")
+    parser.add_argument("--out-dir", required=True)
+    _add_hyperparam_flags(parser)
+    parser.add_argument("--json", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,40 +187,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--defenders", default="random,tripwire", help="comma-separated defender kinds")
     p.add_argument("--values", type=_parse_floats, default=experiments.FULL_NOISE_VALUES, help="ascending noise rates")
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="dfs")
-    p.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
-    p.add_argument("--seeds", type=_parse_seeds, default=experiments.DESK_SEEDS)
-    p.add_argument("--iterations", type=int, default=experiments.DESK_ITERATIONS)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true", help="record wall-clock training seconds (output no longer byte-stable)")
-    p.add_argument("--out-dir", required=True)
-    _add_hyperparam_flags(p)
-    p.add_argument("--json", action="store_true")
+    _add_experiment_flags(p)
 
     p = sub.add_parser("attacker-matrix", help="train per attacker, evaluate against all")
     p.add_argument("--graph", required=True)
     _add_noise_flags(p, default=0.1)
-    p.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
-    p.add_argument("--seeds", type=_parse_seeds, default=experiments.DESK_SEEDS)
-    p.add_argument("--iterations", type=int, default=experiments.DESK_ITERATIONS)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--out-dir", required=True)
-    _add_hyperparam_flags(p)
-    p.add_argument("--json", action="store_true")
+    _add_experiment_flags(p)
 
     p = sub.add_parser("scaling", help="graph-size scaling study")
     p.add_argument("--sizes", default="20,40,60,80", help="comma-separated graph sizes")
     p.add_argument("--graph-seed", type=int, default=1, help="seed for graph generation")
     _add_noise_flags(p, default=0.1)
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="dfs")
-    p.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
-    p.add_argument("--seeds", type=_parse_seeds, default=experiments.DESK_SEEDS)
-    p.add_argument("--iterations", type=int, default=experiments.DESK_ITERATIONS)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--out-dir", required=True)
-    _add_hyperparam_flags(p)
-    p.add_argument("--json", action="store_true")
+    _add_experiment_flags(p)
 
     return parser
 
@@ -253,6 +234,8 @@ def _load_policy_arg(args):
 
 
 def _cmd_simulate(args) -> int:
+    if args.episodes < 1:
+        raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
     graph = _resolve_graph(args.graph)
     noise = NoiseConfig(fpr=args.fpr, fnr=args.fnr)
     rewards = _rewards_for(graph, args)
@@ -335,11 +318,14 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _experiment_outputs(args, rows, name) -> None:
+def _experiment_outputs(args, rows, name) -> int:
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     experiments.write_metrics_csv(rows, out_dir / f"{name}.csv")
     experiments.write_summary_csv(rows, out_dir / f"{name}_summary.csv")
+    _emit(args, {"rows": len(rows), "out_dir": args.out_dir},
+          f"{name.replace('_', ' ')}: {len(rows)} rows -> {args.out_dir}/{name}.csv")
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -359,10 +345,7 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         timing=args.timing,
     )
-    _experiment_outputs(args, rows, "sweep")
-    _emit(args, {"rows": len(rows), "out_dir": args.out_dir},
-          f"sweep: {len(rows)} rows -> {args.out_dir}/sweep.csv")
-    return 0
+    return _experiment_outputs(args, rows, "sweep")
 
 
 def _cmd_attacker_matrix(args) -> int:
@@ -376,10 +359,7 @@ def _cmd_attacker_matrix(args) -> int:
         jobs=args.jobs,
         timing=args.timing,
     )
-    _experiment_outputs(args, rows, "attacker_matrix")
-    _emit(args, {"rows": len(rows), "out_dir": args.out_dir},
-          f"attacker matrix: {len(rows)} rows -> {args.out_dir}/attacker_matrix.csv")
-    return 0
+    return _experiment_outputs(args, rows, "attacker_matrix")
 
 
 def _cmd_scaling(args) -> int:
@@ -395,10 +375,7 @@ def _cmd_scaling(args) -> int:
         jobs=args.jobs,
         timing=args.timing,
     )
-    _experiment_outputs(args, rows, "scaling")
-    _emit(args, {"rows": len(rows), "out_dir": args.out_dir},
-          f"scaling: {len(rows)} rows -> {args.out_dir}/scaling.csv")
-    return 0
+    return _experiment_outputs(args, rows, "scaling")
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -4,9 +4,15 @@ A defender selects one currently disabled defense step per time-step, or
 no-op (None). The mask handed to select() is the tuple of disabled defenses
 in graph index order; returning anything else is an engine contract
 violation.
+
+`learned_select` is the one masked-policy sampler: evaluation uses it through
+`LearnedDefender`, and PPO rollouts through `RecordingDefender`, which also
+keeps each decision for the update.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +92,18 @@ class TripwireDefender(DefenderPolicy):
         return None
 
 
+class PolicyStep(NamedTuple):
+    """One decision of the masked policy: the network input, the action
+    index (|D| is no-op) and what the learner stores for it."""
+
+    obs: np.ndarray
+    action: int
+    logp: float
+    value: float
+    probs: np.ndarray
+    legal: np.ndarray
+
+
 def learned_select(
     observation: Observation,
     params: "ppo.PolicyParams",
@@ -93,23 +111,21 @@ def learned_select(
     rng: np.random.Generator,
     mode: str,
     defense_ids: tuple[str, ...],
-) -> str | None:
-    """Pick a defense through the policy network. Already-enabled defenses
-    get zero probability via the action mask; `sample` draws from the masked
-    categorical, `greedy` takes the argmax."""
+) -> PolicyStep:
+    """Pick an action index through the policy network. Already-enabled
+    defenses get zero probability via the action mask; `sample` draws from
+    the masked categorical, `greedy` takes the argmax."""
     x = observation.vector()
-    logits, _ = ppo.forward(params, x)
+    logits, value = ppo.forward(params, x)
     legal = ppo.legal_action_mask(defense_ids, mask)
-    probs, _ = ppo.masked_log_softmax(logits, legal)
+    probs, logp_all = ppo.masked_log_softmax(logits, legal)
     if mode == "greedy":
         action = int(np.argmax(np.where(legal, probs, -1.0)))
     elif mode == "sample":
         action = ppo.sample_action(probs, legal, rng)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'sample' or 'greedy'")
-    if action == len(defense_ids):
-        return None
-    return defense_ids[action]
+    return PolicyStep(x, action, logp_all[action], value, probs, legal)
 
 
 class LearnedDefender(DefenderPolicy):
@@ -129,10 +145,29 @@ class LearnedDefender(DefenderPolicy):
                 f"policy built for |A|,|D|={params_dims} cannot drive a graph "
                 f"with |A|,|D|={(graph.num_attack_steps, graph.num_defense_steps)}"
             )
-        self._graph = graph
+        self._defense_ids = graph.defense_ids
+        # action index -> defense id; the trailing index is the no-op
+        self._action_ids = graph.defense_ids + (None,)
         self._rng = rng
 
     def select(self, observation, mask):
-        return learned_select(
-            observation, self.params, mask, self._rng, self.mode, self._graph.defense_ids
+        decision = learned_select(
+            observation, self.params, mask, self._rng, self.mode, self._defense_ids
         )
+        return self._action_ids[decision.action]
+
+
+class RecordingDefender(LearnedDefender):
+    """Sample-mode learned defender that also keeps every decision, in
+    order, for the learner."""
+
+    def __init__(self, params: "ppo.PolicyParams"):
+        super().__init__(params, mode="sample")
+        self.decisions: list[PolicyStep] = []
+
+    def select(self, observation, mask):
+        decision = learned_select(
+            observation, self.params, mask, self._rng, self.mode, self._defense_ids
+        )
+        self.decisions.append(decision)
+        return self._action_ids[decision.action]

@@ -1,10 +1,16 @@
 """Experiment harness: noise-grid sweep, attacker generalization matrix and
 graph-size scaling, aggregated over seeds into plot-ready CSV tables.
 
+All three experiments build tasks for one cell function, `_cell`: it trains
+a policy once when the defender is learned, then evaluates against each
+attacker the task lists, one metrics row per attacker. The `sweep`,
+`attacker-matrix` and `scaling` CLI subcommands are the entry points.
+
 Desk-scale defaults (100 episodes, 2 seeds, 50 learner iterations) keep every
-experiment laptop-sized; the full scale (500/3/500) is reachable through the
-same knobs. Independent cells can run in parallel; rows are merged in a
-deterministic key order so output files are byte-stable for a fixed config.
+experiment laptop-sized; the full scale is reachable through the same knobs
+(`--episodes 500 --seeds 1,2,3 --iterations 500`). Independent cells can run
+in parallel; rows are merged in a deterministic key order so output files
+are byte-stable for a fixed config.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ import csv
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,18 +114,6 @@ def run_episodes(
     ]
 
 
-def summarize_records(records: list[EpisodeRecord]) -> dict:
-    rewards = [r.cumulative_reward for r in records]
-    lengths = [r.length for r in records]
-    return {
-        "mean_reward": float(np.mean(rewards)),
-        "flags_fraction": float(np.mean([r.flags_fraction for r in records])),
-        "mean_len": float(np.mean(lengths)),
-        "min_len": int(min(lengths)),
-        "max_len": int(max(lengths)),
-    }
-
-
 def evaluate(config: EvalConfig, experiment: str = "evaluate", cell_id: str = "") -> list[MetricsRow]:
     """One metrics row per seed for the configured (graph, attacker,
     defender, noise) cell."""
@@ -135,7 +130,7 @@ def evaluate(config: EvalConfig, experiment: str = "evaluate", cell_id: str = ""
             policy=config.policy,
             mode=config.mode,
         )
-        summary = summarize_records(records)
+        lengths = [r.length for r in records]
         rows.append(
             MetricsRow(
                 experiment=experiment,
@@ -147,7 +142,11 @@ def evaluate(config: EvalConfig, experiment: str = "evaluate", cell_id: str = ""
                 eval_attacker=config.attacker,
                 defender=config.defender,
                 seed=seed,
-                **summary,
+                mean_reward=float(np.mean([r.cumulative_reward for r in records])),
+                flags_fraction=float(np.mean([r.flags_fraction for r in records])),
+                mean_len=float(np.mean(lengths)),
+                min_len=int(min(lengths)),
+                max_len=int(max(lengths)),
             )
         )
     return rows
@@ -185,111 +184,58 @@ def reward_ttest(rewards_a, rewards_b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# experiment cells; module-level functions so ProcessPoolExecutor can
-# pickle them
+# the experiment cell: a module-level function and task so
+# ProcessPoolExecutor can pickle them
 # ---------------------------------------------------------------------------
 
 
-def _train_policy(graph, attacker_kind, noise, rewards, hp, seed):
-    attacker = make_attacker(attacker_kind)
-    start = time.perf_counter()
-    params, _ = ppo.train(graph, attacker, noise, rewards, hp, seed)
-    return params, time.perf_counter() - start
+class _Task(NamedTuple):
+    """Train once if the defender is learned, then evaluate against each of
+    `eval_attackers`. `cell_id` may hold an `{eval_attacker}` field."""
+
+    experiment: str
+    cell_id: str
+    graph: AttackGraph
+    defender: str
+    noise: NoiseConfig
+    seed: int
+    episodes: int
+    hp: "ppo.HyperParams"
+    train_attacker: str
+    eval_attackers: tuple[str, ...]
+    timing: bool
 
 
-def _sweep_cell(task) -> list[MetricsRow]:
-    (graph, defender, fpr, fnr, seed, episodes, hp, train_attacker, eval_attacker, timing) = task
-    noise = NoiseConfig(fpr=fpr, fnr=fnr)
-    rewards = default_rewards(graph)
-    train_seconds = 0.0
-    policy = None
-    if defender == "learned":
-        policy, train_seconds = _train_policy(graph, train_attacker, noise, rewards, hp, seed)
-    records = run_episodes(
-        graph, eval_attacker, defender, noise, rewards, seed, episodes, policy=policy
-    )
-    summary = summarize_records(records)
-    return [
-        MetricsRow(
-            experiment="sweep",
-            cell_id=f"fpr={fpr}_fnr={fnr}",
-            fpr=fpr,
-            fnr=fnr,
-            graph_size=graph.num_attack_steps,
-            train_attacker=train_attacker if defender == "learned" else "",
-            eval_attacker=eval_attacker,
-            defender=defender,
-            seed=seed,
-            train_seconds=round(train_seconds, 3) if timing else 0.0,
-            **summary,
+def _cell(task: _Task) -> list[MetricsRow]:
+    rewards = default_rewards(task.graph)
+    policy, train_attacker, train_seconds = None, "", 0.0
+    if task.defender == "learned":
+        start = time.perf_counter()
+        policy, _ = ppo.train(
+            task.graph, make_attacker(task.train_attacker), task.noise, rewards, task.hp, task.seed
         )
-    ]
-
-
-def _matrix_cell(task) -> list[MetricsRow]:
-    (graph, train_attacker, seed, episodes, hp, fpr, fnr, eval_attackers, timing) = task
-    noise = NoiseConfig(fpr=fpr, fnr=fnr)
-    rewards = default_rewards(graph)
-    policy, train_seconds = _train_policy(graph, train_attacker, noise, rewards, hp, seed)
+        train_attacker = task.train_attacker
+        train_seconds = round(time.perf_counter() - start, 3) if task.timing else 0.0
     rows = []
-    for eval_attacker in eval_attackers:
-        records = run_episodes(
-            graph, eval_attacker, "learned", noise, rewards, seed, episodes, policy=policy
+    for eval_attacker in task.eval_attackers:
+        config = EvalConfig(
+            task.graph, eval_attacker, task.defender, task.noise, rewards,
+            task.episodes, (task.seed,), policy,
         )
-        summary = summarize_records(records)
-        rows.append(
-            MetricsRow(
-                experiment="attacker_matrix",
-                cell_id=f"train={train_attacker}_eval={eval_attacker}",
-                fpr=fpr,
-                fnr=fnr,
-                graph_size=graph.num_attack_steps,
-                train_attacker=train_attacker,
-                eval_attacker=eval_attacker,
-                defender="learned",
-                seed=seed,
-                train_seconds=round(train_seconds, 3) if timing else 0.0,
-                **summary,
-            )
-        )
+        cell_id = task.cell_id.format(eval_attacker=eval_attacker)
+        rows += [
+            replace(row, train_attacker=train_attacker, train_seconds=train_seconds)
+            for row in evaluate(config, task.experiment, cell_id)
+        ]
     return rows
 
 
-def _scaling_cell(task) -> list[MetricsRow]:
-    (graph, size, defender, seed, episodes, hp, fpr, fnr, attacker_kind, timing) = task
-    noise = NoiseConfig(fpr=fpr, fnr=fnr)
-    rewards = default_rewards(graph)
-    train_seconds = 0.0
-    policy = None
-    if defender == "learned":
-        policy, train_seconds = _train_policy(graph, attacker_kind, noise, rewards, hp, seed)
-    records = run_episodes(
-        graph, attacker_kind, defender, noise, rewards, seed, episodes, policy=policy
-    )
-    summary = summarize_records(records)
-    return [
-        MetricsRow(
-            experiment="scaling",
-            cell_id=f"size={size}_defender={defender}",
-            fpr=fpr,
-            fnr=fnr,
-            graph_size=size,
-            train_attacker=attacker_kind if defender == "learned" else "",
-            eval_attacker=attacker_kind,
-            defender=defender,
-            seed=seed,
-            train_seconds=round(train_seconds, 3) if timing else 0.0,
-            **summary,
-        )
-    ]
-
-
-def _run_cells(worker, tasks, jobs: int) -> list[MetricsRow]:
+def _run_cells(tasks: list[_Task], jobs: int) -> list[MetricsRow]:
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(worker, tasks))
+            chunks = list(pool.map(_cell, tasks))
     else:
-        chunks = [worker(task) for task in tasks]
+        chunks = [_cell(task) for task in tasks]
     rows = [row for chunk in chunks for row in chunk]
     return sorted(
         rows,
@@ -312,14 +258,16 @@ def run_sweep(
     grid cell; the learned defender trains one policy per (cell, seed)
     against the depth-first attacker before evaluation."""
     hp = hp or ppo.HyperParams(iterations=DESK_ITERATIONS)
-    cells = noise_grid(values)
     tasks = [
-        (graph, defender, fpr, fnr, seed, episodes, hp, attacker, attacker, timing)
+        _Task(
+            "sweep", f"fpr={fpr}_fnr={fnr}", graph, defender, NoiseConfig(fpr=fpr, fnr=fnr),
+            seed, episodes, hp, attacker, (attacker,), timing,
+        )
         for defender in defenders
-        for (fpr, fnr) in cells
+        for (fpr, fnr) in noise_grid(values)
         for seed in seeds
     ]
-    return _run_cells(_sweep_cell, tasks, jobs)
+    return _run_cells(tasks, jobs)
 
 
 def attacker_matrix(
@@ -335,13 +283,15 @@ def attacker_matrix(
     evaluated against every attacker kind (5x5 cells per seed)."""
     hp = hp or ppo.HyperParams(iterations=DESK_ITERATIONS)
     kinds = ("random", "breadth_first", "depth_first", "pathfinder", "mixture")
-    fpr, fnr = noise
     tasks = [
-        (graph, train_attacker, seed, episodes, hp, fpr, fnr, kinds, timing)
+        _Task(
+            "attacker_matrix", f"train={train_attacker}_eval={{eval_attacker}}", graph,
+            "learned", NoiseConfig(*noise), seed, episodes, hp, train_attacker, kinds, timing,
+        )
         for train_attacker in kinds
         for seed in seeds
     ]
-    return _run_cells(_matrix_cell, tasks, jobs)
+    return _run_cells(tasks, jobs)
 
 
 def scaling_study(
@@ -358,15 +308,17 @@ def scaling_study(
     """Graph-size scaling: generate one graph per size, train the learned
     defender on it and evaluate learned + tripwire."""
     hp = hp or ppo.HyperParams(iterations=DESK_ITERATIONS)
-    fpr, fnr = noise
     graphs = {size: generate(GenConfig(num_attack_steps=size, seed=graph_seed)) for size in sizes}
     tasks = [
-        (graphs[size], size, defender, seed, episodes, hp, fpr, fnr, attacker, timing)
+        _Task(
+            "scaling", f"size={size}_defender={defender}", graphs[size], defender,
+            NoiseConfig(*noise), seed, episodes, hp, attacker, (attacker,), timing,
+        )
         for size in sizes
         for defender in ("learned", "tripwire")
         for seed in seeds
     ]
-    return _run_cells(_scaling_cell, tasks, jobs)
+    return _run_cells(tasks, jobs)
 
 
 # ---------------------------------------------------------------------------

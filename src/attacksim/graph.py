@@ -331,6 +331,15 @@ def load_graph(text: str) -> AttackGraph:
     violations = graph.violations()
     if violations:
         raise GraphFormatError(f"document violates graph invariants: {list(violations)}")
+    # the engine's step cap, 10 * (|A| + total TTC), and the flag cost are
+    # derived from the summed TTC and must stay finite
+    total = graph.total_ttc()
+    step_cap = 10 * (graph.num_attack_steps + total)
+    if not (math.isfinite(step_cap) and math.isfinite(FLAG_COST_FACTOR * total)):
+        raise GraphFormatError(
+            f"attack_steps[*].ttc: the TTCs sum to {total!r}, "
+            "too large for the step cap and the flag cost"
+        )
     return graph
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import AttackGraph, RewardConfig
 from . import engine
-from .engine import NoiseConfig, episode_streams
+from .engine import NoiseConfig
 
 HIDDEN_LAYERS = (128, 128)
 
@@ -381,65 +381,36 @@ def collect_batch(
     first_episode: int,
 ) -> tuple[TrajectoryBatch, dict]:
     """Roll whole episodes with the current stochastic policy until at least
-    hp.train_batch steps are gathered."""
-    defense_ids = graph.defense_ids
-    obs_rows, action_rows, logp_rows, reward_rows = [], [], [], []
-    value_rows, done_rows, legal_rows, prob_rows = [], [], [], []
+    hp.train_batch steps are gathered. The last step of every episode is
+    terminal, whether the episode ended or hit the step cap."""
+    # imported here: defenders imports this module
+    from .defenders import RecordingDefender
+
+    defender = RecordingDefender(params)
+    reward_rows, done_rows = [], []
     episode_rewards, episode_flags = [], []
     episode = first_episode
-    cap = engine.default_step_cap(graph)
-
-    while len(obs_rows) < hp.train_batch:
-        env_rng, attacker_rng, defender_rng = episode_streams(
-            seed, episode, engine.CONTEXT_TRAIN
+    while len(reward_rows) < hp.train_batch:
+        record = engine.run_episode(
+            graph, attacker, defender, noise, rewards, seed,
+            episode=episode, context=engine.CONTEXT_TRAIN,
         )
-        state = engine.init_episode(graph, noise, rewards, env_rng)
-        attacker.reset(graph, state, attacker_rng)
-        obs_vec = engine.observe(state).vector()
-        total = 0.0
-        steps = 0
-        while True:
-            surface = state.surface
-            attacker_action = attacker.select(state, surface) if surface else None
-            mask = tuple(d for d in defense_ids if d not in state.enabled)
-            legal = legal_action_mask(defense_ids, mask)
-            logits, value = forward(params, obs_vec)
-            probs, logp_all = masked_log_softmax(logits, legal)
-            action = sample_action(probs, legal, defender_rng)
-            defender_action = defense_ids[action] if action < len(defense_ids) else None
-
-            outcome = engine.step(state, attacker_action, defender_action)
-            steps += 1
-            done = outcome.done or steps >= cap
-
-            obs_rows.append(obs_vec)
-            action_rows.append(action)
-            logp_rows.append(logp_all[action])
-            reward_rows.append(outcome.reward)
-            value_rows.append(value)
-            done_rows.append(done)
-            legal_rows.append(legal)
-            prob_rows.append(probs)
-            total += outcome.reward
-            obs_vec = outcome.observation.vector()
-            if done:
-                break
-        episode_rewards.append(total)
-        num_flags = len(graph.flag_ids)
-        episode_flags.append(
-            len(state.captured_flags) / num_flags if num_flags else 0.0
-        )
+        reward_rows.extend(row.reward for row in record.steps)
+        done_rows.extend([False] * (record.length - 1) + [True])
+        episode_rewards.append(record.cumulative_reward)
+        episode_flags.append(record.flags_fraction)
         episode += 1
 
+    decisions = defender.decisions
     batch = TrajectoryBatch(
-        obs=np.array(obs_rows, dtype=np.float64),
-        actions=np.array(action_rows, dtype=np.int64),
-        logp_old=np.array(logp_rows, dtype=np.float64),
+        obs=np.array([d.obs for d in decisions], dtype=np.float64),
+        actions=np.array([d.action for d in decisions], dtype=np.int64),
+        logp_old=np.array([d.logp for d in decisions], dtype=np.float64),
         rewards=np.array(reward_rows, dtype=np.float64),
-        values_old=np.array(value_rows, dtype=np.float64),
+        values_old=np.array([d.value for d in decisions], dtype=np.float64),
         dones=np.array(done_rows, dtype=bool),
-        legal=np.array(legal_rows, dtype=bool),
-        probs_old=np.array(prob_rows, dtype=np.float64),
+        legal=np.array([d.legal for d in decisions], dtype=bool),
+        probs_old=np.array([d.probs for d in decisions], dtype=np.float64),
     )
     batch.finalize(hp.gamma, hp.gae_lambda)
     stats = {
@@ -545,14 +516,28 @@ def load_policy(path) -> PolicyParams:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        weights = {
-            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in doc["weights"].items()
+        num_attack, num_defense = int(doc["num_attack_steps"]), int(doc["num_defense_steps"])
+        h1, h2 = (int(h) for h in doc["hidden_layers"])
+        expected = {
+            "w1": (num_attack + num_defense, h1),
+            "b1": (h1,),
+            "w2": (h1, h2),
+            "b2": (h2,),
+            "wp": (h2, num_defense + 1),
+            "bp": (num_defense + 1,),
+            "wv": (h2, 1),
+            "bv": (1,),
         }
-        return PolicyParams(
-            num_attack_steps=int(doc["num_attack_steps"]),
-            num_defense_steps=int(doc["num_defense_steps"]),
-            **weights,
-        )
+        if sorted(doc["weights"]) != sorted(expected):
+            raise ValueError(f"weights {sorted(doc['weights'])}, expected {sorted(expected)}")
+        weights = {}
+        for name, shape in expected.items():
+            entry = doc["weights"][name]
+            weights[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            if weights[name].shape != shape:
+                raise ValueError(
+                    f"weight {name} has shape {weights[name].shape}, the header implies {shape}"
+                )
+        return PolicyParams(num_attack_steps=num_attack, num_defense_steps=num_defense, **weights)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed policy file {path}: {exc}") from exc

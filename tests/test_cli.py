@@ -59,6 +59,13 @@ class TestSimulate:
             run_cli(["simulate", "--graph", "toy", "--attacker", "warp"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("episodes", ["0", "-2"])
+    def test_non_positive_episodes_exit_two(self, episodes, capsys):
+        assert run_cli(["simulate", "--graph", "toy", "--episodes", episodes]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attacksim: error: --episodes")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_graph_exits_two(self, capsys):
         assert run_cli(["simulate", "--graph", "missing.json"]) == 2
         assert "neither a file nor a bundled graph" in capsys.readouterr().err

@@ -1,13 +1,14 @@
-"""Golden episode digest: pins the exact episodes (actions, rewards,
-observation bit-strings, sampled TTCs) the engine produces for every
-attacker against a heuristic and a learned defender, so an engine
+"""Golden digests: pin the exact episodes (actions, rewards, observation
+bit-strings, sampled TTCs) the engine produces for every attacker against a
+heuristic and a learned defender, the policy and curve files of short PPO
+runs, and the metrics CSVs of tiny experiments, so a refactor or
 optimisation that changes any output bit or RNG draw fails here."""
 
 import hashlib
 
 import numpy as np
 
-from attacksim import ppo
+from attacksim import experiments, ppo
 from attacksim.attackers import ATTACKER_KINDS, make_attacker
 from attacksim.defenders import make_defender
 from attacksim.engine import NoiseConfig, run_episode
@@ -65,3 +66,53 @@ def golden_digest() -> str:
 
 def test_golden_episodes_unchanged():
     assert golden_digest() == GOLDEN_SHA256
+
+
+# sha256 over the policy file and curve CSV of short training runs, and over
+# the metrics and summary CSVs of tiny experiments; both captured before
+# collect_batch ran its episodes through run_episode
+TRAINING_SHA256 = "47a1b78dbe7bb303027b38cfabc51783cec55bd683dce0c47116c431c749debe"
+EXPERIMENTS_SHA256 = "03815a4cb4581255f2ae8d2f53ca2db30b70968f41d610ff86dd981d74121063"
+TINY_HP = ppo.HyperParams(iterations=2, train_batch=48, minibatch=16)
+
+
+def test_golden_training_unchanged(tmp_path):
+    hasher = hashlib.sha256()
+    for name in ("toy", "four_ways"):
+        graph = bundled_graph(name)
+        params, curve = ppo.train(
+            graph,
+            make_attacker("mixture"),
+            NOISE,
+            default_rewards(graph),
+            ppo.HyperParams(iterations=3, train_batch=256),
+            SEED,
+        )
+        ppo.save_policy(params, tmp_path / "policy.json", seed=SEED)
+        ppo.write_curve(curve, tmp_path / "curve.csv")
+        hasher.update((tmp_path / "policy.json").read_bytes())
+        hasher.update((tmp_path / "curve.csv").read_bytes())
+    assert hasher.hexdigest() == TRAINING_SHA256
+
+
+def test_golden_experiments_unchanged(tmp_path):
+    toy = bundled_graph("toy")
+    runs = {
+        "sweep": experiments.run_sweep(
+            toy, ["random", "tripwire", "learned"], values=(0.0, 0.25),
+            episodes=3, seeds=(1, 2), hp=TINY_HP,
+        ),
+        "attacker_matrix": experiments.attacker_matrix(
+            toy, hp=TINY_HP, episodes=2, seeds=(1,)
+        ),
+        "scaling": experiments.scaling_study(
+            sizes=(20,), hp=TINY_HP, episodes=2, seeds=(1, 2)
+        ),
+    }
+    hasher = hashlib.sha256()
+    for name, rows in runs.items():
+        experiments.write_metrics_csv(rows, tmp_path / f"{name}.csv")
+        experiments.write_summary_csv(rows, tmp_path / f"{name}_summary.csv")
+        hasher.update((tmp_path / f"{name}.csv").read_bytes())
+        hasher.update((tmp_path / f"{name}_summary.csv").read_bytes())
+    assert hasher.hexdigest() == EXPERIMENTS_SHA256

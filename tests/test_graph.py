@@ -279,6 +279,22 @@ class TestDocumentFormat:
         with pytest.raises(GraphFormatError, match=r"attack_steps\[1\]\.ttc"):
             load_graph(doc)
 
+    def test_ttc_sum_overflowing_step_cap_is_a_parse_error(self):
+        # each TTC is finite, but their sum (and the step cap built from
+        # it) is not
+        doc = json.dumps(
+            {
+                "attack_steps": [
+                    {"id": "e", "entry": True},
+                    {"id": "a", "ttc": 1e308},
+                    {"id": "b", "ttc": 1e308, "flag": True},
+                ],
+                "edges": [["e", "a"], ["a", "b"]],
+            }
+        )
+        with pytest.raises(GraphFormatError, match=r"attack_steps\[\*\]\.ttc"):
+            load_graph(doc)
+
     def test_invalid_graph_reported_at_load(self):
         doc = json.dumps(
             {

@@ -483,6 +483,18 @@ class TestPolicyFile:
         with pytest.raises(ValueError, match="malformed policy file"):
             load_policy(path)
 
+    def test_weight_shape_must_match_header(self, tmp_path):
+        import json
+
+        path = tmp_path / "policy.json"
+        save_policy(zero_params(), path)
+        doc = json.loads(path.read_text())
+        # a w1 with one extra row: 6 inputs under a header of |A|+|D| = 5
+        doc["weights"]["w1"] = {"shape": [6, 4], "data": [0.0] * 24}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed policy file.*w1"):
+            load_policy(path)
+
 
 class TestHyperParamDefaults:
     def test_default_table_values(self):
