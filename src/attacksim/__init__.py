@@ -39,6 +39,7 @@ from .engine import (
     run_episode,
     sample_ttc,
     step,
+    sync_derived,
 )
 from .attackers import make_attacker
 from .defenders import make_defender

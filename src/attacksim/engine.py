@@ -58,9 +58,14 @@ class Observation:
 class SimState:
     """Mutable per-episode state, owned by exactly one episode runner.
 
-    `surface` is the attack surface of `compromised` and `enabled`, kept
-    current by `step()`; code that edits those sets directly must not rely
-    on it afterwards."""
+    `compromised` and `enabled` are the truth. `surface` (their attack
+    surface), `compromised_bits` and `enabled_bits` (their 0/1 membership
+    vectors in graph index order) and `thresholds` (per attack step, the
+    IDS error rate its truth bit selects: fnr if compromised, else fpr)
+    mirror them (the thresholds also mirror `noise`). `sync_derived` builds
+    the mirrors and `step()` keeps them current; code that assigns or edits
+    `compromised`, `enabled` or `noise` directly must call
+    `sync_derived(state)` before the next `observe` or `step`."""
 
     graph: AttackGraph
     noise: NoiseConfig
@@ -71,7 +76,10 @@ class SimState:
     enabled: set[str]
     captured_flags: set[str]
     rng: np.random.Generator
-    surface: set[str]
+    surface: set[str] = field(init=False)
+    compromised_bits: np.ndarray = field(init=False)
+    enabled_bits: np.ndarray = field(init=False)
+    thresholds: np.ndarray = field(init=False)
 
 
 @dataclass(frozen=True)
@@ -150,41 +158,53 @@ def init_episode(
         rng = seed
     else:
         rng = episode_streams(seed, episode, context)[0]
-    compromised = {graph.entry_id}
-    return SimState(
+    state = SimState(
         graph=graph,
         noise=noise,
         rewards=rewards,
         t=0,
         remaining_ttc=sample_ttc(graph, rng),
-        compromised=compromised,
+        compromised={graph.entry_id},
         enabled=set(),
         captured_flags=set(),
         rng=rng,
-        surface=attack_surface(graph, compromised, ()),
     )
+    sync_derived(state)
+    return state
 
 
-def observe(
-    state: SimState, noise: NoiseConfig | None = None, rng: np.random.Generator | None = None
-) -> Observation:
-    """Noisy attack bits and exact defense bits; fresh noise every call."""
-    graph = state.graph
-    noise = state.noise if noise is None else noise
-    rng = state.rng if rng is None else rng
-    truth = np.fromiter(
+def sync_derived(state: SimState) -> None:
+    """Rebuild every field mirrored from `state.compromised`,
+    `state.enabled` and `state.noise` (the surface, both bit vectors and
+    the IDS thresholds) with full scans. Raises ValueError on ids the
+    graph does not know."""
+    graph, noise = state.graph, state.noise
+    state.surface = attack_surface(graph, state.compromised, state.enabled)
+    state.compromised_bits = np.fromiter(
         (sid in state.compromised for sid in graph.attack_ids),
-        dtype=bool,
+        dtype=np.uint8,
         count=graph.num_attack_steps,
     )
-    u = rng.random(graph.num_attack_steps)
-    attack_bits = np.where(truth, u >= noise.fnr, u < noise.fpr).astype(np.uint8)
-    defense_bits = np.fromiter(
+    state.enabled_bits = np.fromiter(
         (did in state.enabled for did in graph.defense_ids),
         dtype=np.uint8,
         count=graph.num_defense_steps,
     )
-    return Observation(attack_bits=attack_bits, defense_bits=defense_bits)
+    state.thresholds = np.where(state.compromised_bits, noise.fnr, noise.fpr).astype(np.float64)
+
+
+def observe(state: SimState) -> Observation:
+    """Noisy attack bits and exact defense bits; fresh noise every call.
+
+    One uniform draw u per attack step: a compromised step reads 1 unless
+    u < fnr, an uncompromised one reads 1 when u < fpr. Both are
+    `(u < threshold) ^ truth`."""
+    truth = state.compromised_bits
+    u = state.rng.random(truth.size)
+    return Observation(
+        attack_bits=(u < state.thresholds) ^ truth,
+        defense_bits=state.enabled_bits.copy(),
+    )
 
 
 def reward_of(
@@ -220,7 +240,8 @@ def step(
     blocked this very step cannot be compromised. The attacker's action must
     come from `state.surface` as it stood when actions were chosen; the
     engine enforces both masks and keeps `state.surface` current in
-    O(children of the changed steps).
+    O(children of the changed steps), and the bit vectors and thresholds
+    with one index write each per change.
     """
     graph = state.graph
     surface = state.surface
@@ -240,10 +261,14 @@ def step(
     #    are no longer considered compromised (the flag penalty is not refunded)
     if defender_action is not None:
         state.enabled.add(defender_action)
+        state.enabled_bits[graph.defense_index[defender_action]] = 1
         for child in graph.children(defender_action):
             surface.discard(child)
             if child in state.compromised:
                 state.compromised.discard(child)
+                i = graph.attack_index[child]
+                state.compromised_bits[i] = 0
+                state.thresholds[i] = state.noise.fpr
                 _recheck(state, graph.children(child))
 
     # 2) attacker works its chosen step unless the defender's move just
@@ -253,6 +278,9 @@ def step(
         state.remaining_ttc[attacker_action] -= 1.0
         if state.remaining_ttc[attacker_action] <= 0.0:
             state.compromised.add(attacker_action)
+            i = graph.attack_index[attacker_action]
+            state.compromised_bits[i] = 1
+            state.thresholds[i] = state.noise.fnr
             surface.discard(attacker_action)
             _recheck(state, graph.children(attacker_action))
             if (

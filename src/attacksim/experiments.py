@@ -231,6 +231,8 @@ def _cell(task: _Task) -> list[MetricsRow]:
 
 
 def _run_cells(tasks: list[_Task], jobs: int) -> list[MetricsRow]:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_cell, tasks))

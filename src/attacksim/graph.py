@@ -272,7 +272,7 @@ def load_graph(text: str) -> AttackGraph:
     parsed graph breaks a structural invariant."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be an object")
@@ -291,6 +291,12 @@ def load_graph(text: str) -> AttackGraph:
         ttc = entry.get("ttc", 0)
         if not isinstance(ttc, (int, float)) or isinstance(ttc, bool):
             raise GraphFormatError(f"{where}.ttc: expected a number, got {ttc!r}")
+        try:
+            ttc = float(ttc)
+        except OverflowError:
+            raise GraphFormatError(
+                f"{where}.ttc: expected a finite number, got an integer too large for a float"
+            ) from None
         if not math.isfinite(ttc):
             raise GraphFormatError(f"{where}.ttc: expected a finite number, got {ttc!r}")
         flag = _expect_bool(entry, "flag", where, default=False)
@@ -299,21 +305,21 @@ def load_graph(text: str) -> AttackGraph:
             AttackStep(
                 id=step_id,
                 logic=logic,
-                ttc_mean=float(ttc),
+                ttc_mean=ttc,
                 is_flag=flag,
                 is_entry=is_entry,
             )
         )
 
     defense_steps = []
-    for i, entry in enumerate(doc.get("defense_steps", [])):
+    for i, entry in enumerate(_expect_list(doc, "defense_steps", default=[])):
         where = f"defense_steps[{i}]"
         if not isinstance(entry, dict):
             raise GraphFormatError(f"{where}: expected an object")
         defense_steps.append(DefenseStep(id=_expect_str(entry, "id", where)))
 
     edges = []
-    for i, pair in enumerate(doc.get("edges", [])):
+    for i, pair in enumerate(_expect_list(doc, "edges", default=[])):
         where = f"edges[{i}]"
         if (
             not isinstance(pair, (list, tuple))
@@ -391,8 +397,8 @@ def bundled_graph(name: str) -> AttackGraph:
     return load_graph(candidate.read_text(encoding="utf-8"))
 
 
-def _expect_list(doc: dict, key: str) -> list:
-    value = doc.get(key)
+def _expect_list(doc: dict, key: str, default: list | None = None) -> list:
+    value = doc.get(key, default)
     if not isinstance(value, list):
         raise GraphFormatError(f"{key}: expected an array")
     return value

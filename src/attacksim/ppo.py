@@ -38,6 +38,12 @@ class HyperParams:
     gae_lambda: float = 0.95
     iterations: int = 500
 
+    def __post_init__(self):
+        for name, low in (("train_batch", 1), ("minibatch", 1), ("iterations", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+
 
 @dataclass
 class PolicyParams:

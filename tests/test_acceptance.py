@@ -18,7 +18,15 @@ from attacksim import ppo
 from attacksim.attackers import make_attacker, work_steps
 from attacksim.cli import main as cli_main
 from attacksim.defenders import make_defender
-from attacksim.engine import NoiseConfig, init_episode, min_reward_bound, observe, run_episode, sample_ttc
+from attacksim.engine import (
+    NoiseConfig,
+    init_episode,
+    min_reward_bound,
+    observe,
+    run_episode,
+    sample_ttc,
+    sync_derived,
+)
 from attacksim.experiments import noise_grid, reward_ttest, run_episodes
 from attacksim.generate import GenConfig, generate
 from attacksim.graph import (
@@ -96,6 +104,7 @@ def test_criterion_03_noise_calibration():
         noise = NoiseConfig(fpr=0.25, fnr=0.125)
         state = init_episode(graph, noise, RewardConfig(1.0, 1.0), seed=17)
         state.compromised = set(list(graph.attack_ids)[: n // 2])
+        sync_derived(state)
         compromised = np.array([sid in state.compromised for sid in graph.attack_ids])
         false_pos = false_neg = pos = neg = 0
         for _ in range(1000):

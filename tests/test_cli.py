@@ -66,6 +66,17 @@ class TestSimulate:
         assert err.startswith("attacksim: error: --episodes")
         assert len(err.splitlines()) == 1
 
+    def test_ttc_beyond_float_range_exits_two(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text(
+            '{"attack_steps": [{"id": "e", "entry": true}, '
+            '{"id": "a", "ttc": 1' + "0" * 400 + ', "flag": true}], "edges": [["e", "a"]]}'
+        )
+        assert run_cli(["simulate", "--graph", str(graph)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attacksim: error: attack_steps[1].ttc: ")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_graph_exits_two(self, capsys):
         assert run_cli(["simulate", "--graph", "missing.json"]) == 2
         assert "neither a file nor a bundled graph" in capsys.readouterr().err
@@ -123,6 +134,22 @@ class TestTrainEvaluate:
         assert run_cli(["evaluate", "--graph", "toy", "--defender", "learned"]) == 2
         assert "--policy-file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--minibatch", "0", "minibatch"),
+            ("--train-batch", "0", "train_batch"),
+            ("--iterations", "-1", "iterations"),
+        ],
+    )
+    def test_out_of_range_training_numbers_exit_two(self, tmp_path, capsys, flag, value, field):
+        policy = tmp_path / "policy.json"
+        assert run_cli(["train", "--graph", "toy", "--out", str(policy), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"attacksim: error: {field} must be >= ")
+        assert len(err.splitlines()) == 1
+        assert not policy.exists()
+
     def test_help_lists_hyperparameter_defaults(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(["train", "--help"])
@@ -155,6 +182,26 @@ class TestExperimentCommands:
         )
         assert code == 2
         assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--graph", "toy", "--defenders", "tripwire"],
+            ["attacker-matrix", "--graph", "toy"],
+            ["scaling", "--sizes", "20"],
+        ],
+        ids=["sweep", "attacker-matrix", "scaling"],
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_non_positive_jobs_exit_two(self, tmp_path, capsys, command, jobs):
+        out_dir = tmp_path / "out"
+        argv = command + ["--episodes", "1", "--seeds", "1", "--jobs", jobs]
+        argv += ["--out-dir", str(out_dir)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attacksim: error: jobs must be >= 1")
+        assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_scaling_with_tiny_settings(self, tmp_path):
         out_dir = tmp_path / "scaling"

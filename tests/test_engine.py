@@ -23,6 +23,7 @@ from attacksim.engine import (
     run_episode,
     sample_ttc,
     step,
+    sync_derived,
     write_trajectory,
 )
 from attacksim.attackers import make_attacker
@@ -112,6 +113,7 @@ class TestObserve:
     def test_noiseless_identity(self, four_ways_graph):
         state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=1)
         state.compromised |= {"recon_north", "breach_north"}
+        sync_derived(state)
         obs = observe(state)
         truth = [
             int(sid in state.compromised) for sid in four_ways_graph.attack_ids
@@ -138,9 +140,19 @@ class TestObserve:
             four_ways_graph, NoiseConfig(fpr=0.5, fnr=0.5), UNIT_REWARDS, seed=1
         )
         state.enabled.add("block_east")
+        sync_derived(state)
         obs = observe(state)
         expected = [int(d == "block_east") for d in four_ways_graph.defense_ids]
         assert obs.defense_bits.tolist() == expected
+
+    def test_observation_is_a_snapshot(self, four_ways_graph):
+        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=1)
+        before = observe(state)
+        step(state, "recon_north", "block_east")
+        assert before.defense_bits.tolist() == [0, 0, 0, 0]
+        assert observe(state).defense_bits.tolist() == [
+            int(d == "block_east") for d in four_ways_graph.defense_ids
+        ]
 
     def test_empirical_rates_match_configured(self):
         # 200 attack steps, half compromised; 1000 observations give 1e5
@@ -154,6 +166,7 @@ class TestObserve:
         noise = NoiseConfig(fpr=0.25, fnr=0.125)
         state = init_episode(g, noise, UNIT_REWARDS, seed=5)
         state.compromised = set(list(g.attack_ids)[: n // 2])
+        sync_derived(state)
         compromised_mask = np.array(
             [sid in state.compromised for sid in g.attack_ids]
         )
@@ -271,6 +284,16 @@ def _cutting_defenses(graph, state, disabled):
     ]
 
 
+def _assert_bits_match_sets(graph, state):
+    """The maintained bit vectors and IDS thresholds equal a fresh scan of
+    the sets."""
+    truth = [sid in state.compromised for sid in graph.attack_ids]
+    assert state.compromised_bits.tolist() == truth
+    assert state.enabled_bits.tolist() == [did in state.enabled for did in graph.defense_ids]
+    noise = state.noise
+    assert state.thresholds.tolist() == [noise.fnr if bit else noise.fpr for bit in truth]
+
+
 class TestMaintainedSurface:
     def test_uncompromise_removes_children_from_surface(self):
         # entry -> s1 -> s2, defense d on s1: enabling d after s1 fell
@@ -290,8 +313,11 @@ class TestMaintainedSurface:
     def test_matches_oracle_after_every_step(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         g = build_random_graph(rng, ttc_range=(0.5, 3.0))
-        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=int(rng.integers(1000)))
+        # distinct rates, so a threshold left at the wrong rate shows
+        noise = data.draw(st.sampled_from([NO_NOISE, NoiseConfig(fpr=0.3, fnr=0.1)]))
+        state = init_episode(g, noise, UNIT_REWARDS, seed=int(rng.integers(1000)))
         assert state.surface == surface_oracle(g, state.compromised, state.enabled)
+        _assert_bits_match_sets(g, state)
         for _ in range(200):
             if not state.surface:
                 break
@@ -309,6 +335,10 @@ class TestMaintainedSurface:
             outcome = step(state, attacker_action, defender_action)
             assert state.surface == surface_oracle(g, state.compromised, state.enabled)
             assert outcome.done == (not state.surface)
+            _assert_bits_match_sets(g, state)
+            assert outcome.observation.defense_bits.tolist() == state.enabled_bits.tolist()
+            if noise == NO_NOISE:
+                assert outcome.observation.attack_bits.tolist() == state.compromised_bits.tolist()
 
 
 class TestMinRewardBound:

@@ -256,6 +256,59 @@ class TestRewardConfig:
             RewardConfig(defense_cost=1.0, flag_cost=-2.0)
 
 
+# JSON values, with NaN/Infinity and integers far outside the float range
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["e", "a", "d", "and", "or"]),
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+# documents with the graph format's keys, so the fuzz reaches past the
+# top-level checks into steps, edges and the graph invariants
+_ID = st.sampled_from(["e", "a", "b", "d"])
+_GRAPH_SHAPED = st.fixed_dictionaries(
+    {
+        "attack_steps": st.one_of(
+            _JSON,
+            st.lists(
+                st.one_of(
+                    _JSON,
+                    st.fixed_dictionaries(
+                        {"id": st.one_of(_ID, _JSON)},
+                        optional={
+                            "logic": st.one_of(st.sampled_from(["and", "or"]), _JSON),
+                            "ttc": _JSON_LEAVES,
+                            "flag": st.one_of(st.booleans(), _JSON),
+                            "entry": st.one_of(st.booleans(), _JSON),
+                        },
+                    ),
+                ),
+                max_size=4,
+            ),
+        ),
+    },
+    optional={
+        "defense_steps": st.one_of(
+            _JSON, st.lists(st.one_of(_JSON, st.fixed_dictionaries({"id": _ID})), max_size=2)
+        ),
+        "edges": st.one_of(
+            _JSON, st.lists(st.one_of(_JSON, st.lists(_ID, min_size=2, max_size=2)), max_size=5)
+        ),
+    },
+)
+
+
 class TestDocumentFormat:
     def test_minimal_document(self):
         g = load_graph('{"attack_steps": [{"id": "e", "entry": true}]}')
@@ -270,7 +323,16 @@ class TestDocumentFormat:
         with pytest.raises(GraphFormatError, match="logic"):
             load_graph(doc)
 
-    @pytest.mark.parametrize("ttc", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "ttc",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            pytest.param("1" + "0" * 400, id="int-above-float-range"),
+            pytest.param("-1" + "0" * 400, id="int-below-float-range"),
+        ],
+    )
     def test_non_finite_ttc_is_a_parse_error_naming_the_field(self, ttc):
         doc = (
             '{"attack_steps": [{"id": "e", "entry": true}, '
@@ -316,6 +378,15 @@ class TestDocumentFormat:
             load_graph('{"attack_steps": [{"id": "e", "entry": true}], "edges": [["e"]]}')
         with pytest.raises(GraphFormatError, match="invalid JSON"):
             load_graph("{nope")
+
+    @given(doc=st.one_of(_JSON, _GRAPH_SHAPED))
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_document_loads_or_raises_graph_format_error(self, doc):
+        try:
+            graph = load_graph(json.dumps(doc))
+        except GraphFormatError:
+            return
+        assert graph.violations() == ()
 
     def test_bundled_graphs_round_trip_byte_identical(self):
         from importlib import resources

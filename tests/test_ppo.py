@@ -509,6 +509,14 @@ class TestHyperParamDefaults:
         assert hp.lr == 1e-4
         assert hp.iterations == 500
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("train_batch", 0), ("minibatch", 0), ("minibatch", -4), ("iterations", -1)],
+    )
+    def test_out_of_range_counts_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            HyperParams(**{field: value})
+
     def test_network_shape_for_graph(self, four_ways_graph):
         params = init_params(
             four_ways_graph.num_attack_steps,
