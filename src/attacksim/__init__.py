@@ -30,7 +30,7 @@ from .engine import (
     NoiseConfig,
     Observation,
     SimState,
-    StepOutcome,
+    StepRow,
     episode_streams,
     init_episode,
     min_reward_bound,

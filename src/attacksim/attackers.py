@@ -1,10 +1,10 @@
 """Attacker policies: random, breadth-first, depth-first, pathfinder and a
 per-episode mixture of the four.
 
-Every policy returns a member of the current attack surface (or None when it
-is empty) and keeps only episode-local state; reset() is called by the
-episode runner with a per-episode RNG stream, so attacker behavior is
-reproducible independently of IDS noise draws.
+Every policy reads the attack surface from `state.surface`, returns one of
+its members (or None when it is empty) and keeps only episode-local state;
+reset() is called by the episode runner with a per-episode RNG stream, so
+attacker behavior is reproducible independently of IDS noise draws.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class AttackerPolicy:
     def reset(self, graph: AttackGraph, state: SimState, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def select(self, state: SimState, surface: set[str]) -> str | None:
+    def select(self, state: SimState) -> str | None:
         raise NotImplementedError
 
 
@@ -64,10 +64,10 @@ class RandomAttacker(AttackerPolicy):
     def reset(self, graph, state, rng):
         self._rng = rng
 
-    def select(self, state, surface):
-        if not surface:
+    def select(self, state):
+        if not state.surface:
             return None
-        return _uniform_choice(self._rng, surface)
+        return _uniform_choice(self._rng, state.surface)
 
 
 class BreadthFirstAttacker(AttackerPolicy):
@@ -81,7 +81,8 @@ class BreadthFirstAttacker(AttackerPolicy):
         self._queue: deque[str] = deque()
         self._queued: set[str] = set()
 
-    def select(self, state, surface):
+    def select(self, state):
+        surface = state.surface
         if not surface:
             return None
         fresh = sorted(surface - self._queued)
@@ -107,7 +108,8 @@ class DepthFirstAttacker(AttackerPolicy):
         self._stack: list[str] = []
         self._stacked: set[str] = set()
 
-    def select(self, state, surface):
+    def select(self, state):
+        surface = state.surface
         if not surface:
             return None
         fresh = sorted(surface - self._stacked)
@@ -188,17 +190,17 @@ class PathfinderAttacker(AttackerPolicy):
         self._enabled_seen: frozenset[str] = frozenset(state.enabled)
         self._replan(state)
 
-    def select(self, state, surface):
-        if not surface:
+    def select(self, state):
+        if not state.surface:
             return None
         if self._plan_stale(state):
             self._replan(state)
-        choice = self._next_on_plan(state, surface)
+        choice = self._next_on_plan(state)
         if choice is None and self._target is not None:
             self._replan(state)
-            choice = self._next_on_plan(state, surface)
+            choice = self._next_on_plan(state)
         if choice is None:
-            return _uniform_choice(self._rng, surface)
+            return _uniform_choice(self._rng, state.surface)
         return choice
 
     def _plan_stale(self, state) -> bool:
@@ -209,11 +211,11 @@ class PathfinderAttacker(AttackerPolicy):
             return True
         return self._target is not None and self._target in state.captured_flags
 
-    def _next_on_plan(self, state, surface) -> str | None:
+    def _next_on_plan(self, state) -> str | None:
         if self._target is None:
             return None
         self._needed -= state.compromised
-        candidates = self._needed & surface
+        candidates = self._needed & state.surface
         if not candidates:
             return None
         return min(candidates, key=lambda sid: (self._costs.get(sid, math.inf), sid))
@@ -276,5 +278,5 @@ class MixtureAttacker(AttackerPolicy):
         self._active = make_attacker(self.active_kind)
         self._active.reset(graph, state, rng)
 
-    def select(self, state, surface):
-        return self._active.select(state, surface)
+    def select(self, state):
+        return self._active.select(state)

@@ -16,9 +16,9 @@ import pathlib
 import sys
 
 from . import experiments, ppo
-from .attackers import canonical_kind
-from .defenders import DEFENDER_KINDS, make_defender
-from .engine import NoiseConfig, run_episode, write_trajectory
+from .attackers import canonical_kind, make_attacker
+from .defenders import DEFENDER_KINDS
+from .engine import NoiseConfig, write_trajectory
 from .generate import GenConfig, generate
 from .graph import (
     bundled_graph,
@@ -27,7 +27,6 @@ from .graph import (
     load_graph_file,
     save_graph_file,
 )
-from .attackers import make_attacker
 
 ATTACKER_CHOICES = ("random", "bfs", "dfs", "pathfinder", "mixture")
 
@@ -50,20 +49,18 @@ def _resolve_graph(ref: str):
             f"graph {ref!r} is neither a file nor a bundled graph "
             f"(bundled: {', '.join(bundled_graph_names())})"
         )
-    violations = graph.violations()
-    if violations:
-        raise ValueError(f"invalid graph {ref!r}: {list(violations)}")
     return graph
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; argparse names the flag in the error."""
     try:
-        seeds = tuple(int(x) for x in text.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise ValueError(f"bad --seeds value {text!r}: {exc}") from exc
-    if not seeds:
-        raise ValueError("--seeds must list at least one seed")
-    return seeds
+        values = tuple(int(x) for x in text.split(",") if x.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"must list at least one integer, got {text!r}")
+    return values
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -120,7 +117,7 @@ def _hp_from_args(args, iterations) -> ppo.HyperParams:
 
 def _add_experiment_flags(parser):
     parser.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
-    parser.add_argument("--seeds", type=_parse_seeds, default=experiments.DESK_SEEDS)
+    parser.add_argument("--seeds", type=_parse_ints, default=experiments.DESK_SEEDS)
     parser.add_argument("--iterations", type=int, default=experiments.DESK_ITERATIONS)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--timing", action="store_true", help="record wall-clock training seconds (output no longer byte-stable)")
@@ -178,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_noise_flags(p)
     _add_reward_flags(p)
     p.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
-    p.add_argument("--seeds", type=_parse_seeds, default=experiments.DESK_SEEDS)
+    p.add_argument("--seeds", type=_parse_ints, default=experiments.DESK_SEEDS)
     p.add_argument("--out", help="metrics CSV path")
     p.add_argument("--json", action="store_true")
 
@@ -195,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(p)
 
     p = sub.add_parser("scaling", help="graph-size scaling study")
-    p.add_argument("--sizes", default="20,40,60,80", help="comma-separated graph sizes")
+    p.add_argument("--sizes", type=_parse_ints, default="20,40,60,80", help="comma-separated graph sizes")
     p.add_argument("--graph-seed", type=int, default=1, help="seed for graph generation")
     _add_noise_flags(p, default=0.1)
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="dfs")
@@ -237,19 +234,15 @@ def _cmd_simulate(args) -> int:
     if args.episodes < 1:
         raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
     graph = _resolve_graph(args.graph)
-    noise = NoiseConfig(fpr=args.fpr, fnr=args.fnr)
-    rewards = _rewards_for(graph, args)
-    policy = _load_policy_arg(args)
-    attacker = make_attacker(args.attacker)
-    defender = make_defender(args.defender, params=policy, mode=args.mode)
-
-    records = []
-    for ep in range(args.episodes):
-        record = run_episode(graph, attacker, defender, noise, rewards, args.seed, episode=ep)
-        records.append(record)
-        if args.record:
-            stem = pathlib.Path(args.record)
-            write_trajectory(record, stem.with_name(f"{stem.stem}_ep{ep:04d}{stem.suffix or '.csv'}"))
+    records = experiments.run_episodes(
+        graph, args.attacker, args.defender, NoiseConfig(fpr=args.fpr, fnr=args.fnr),
+        _rewards_for(graph, args), args.seed, args.episodes,
+        policy=_load_policy_arg(args), mode=args.mode,
+    )
+    if args.record:
+        stem = pathlib.Path(args.record)
+        for r in records:
+            write_trajectory(r, stem.with_name(f"{stem.stem}_ep{r.episode:04d}{stem.suffix or '.csv'}"))
 
     lines = [
         f"episode {r.episode}: len={r.length} reward={r.cumulative_reward:.3f} "
@@ -363,9 +356,8 @@ def _cmd_attacker_matrix(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
     rows = experiments.scaling_study(
-        sizes=sizes,
+        sizes=args.sizes,
         hp=_hp_from_args(args, args.iterations),
         noise=(args.fpr, args.fnr),
         episodes=args.episodes,

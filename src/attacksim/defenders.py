@@ -1,9 +1,8 @@
 """Defender policies: no-op, random, tripwire and the learned-policy wrapper.
 
 A defender selects one currently disabled defense step per time-step, or
-no-op (None). The mask handed to select() is the tuple of disabled defenses
-in graph index order; returning anything else is an engine contract
-violation.
+no-op (None), from the observation alone: a defense bit of 0 is a legal
+enable. Returning anything else is an engine contract violation.
 
 `learned_select` is the one masked-policy sampler: evaluation uses it through
 `LearnedDefender`, and PPO rollouts through `RecordingDefender`, which also
@@ -37,13 +36,19 @@ def make_defender(kind: str, params: "ppo.PolicyParams | None" = None, mode: str
     raise ValueError(f"unknown defender kind {kind!r}; expected one of {DEFENDER_KINDS}")
 
 
+def _disabled_indices(observation: Observation) -> list[int]:
+    """Indices of the defenses whose bit reads 0 (the legal enables), in
+    graph index order."""
+    return [i for i, bit in enumerate(observation.defense_bits.tolist()) if not bit]
+
+
 class DefenderPolicy:
     kind = "base"
 
     def reset(self, graph: AttackGraph, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def select(self, observation: Observation, mask: tuple[str, ...]) -> str | None:
+    def select(self, observation: Observation) -> str | None:
         raise NotImplementedError
 
 
@@ -53,21 +58,22 @@ class NoopDefender(DefenderPolicy):
     def reset(self, graph, rng):
         pass
 
-    def select(self, observation, mask):
+    def select(self, observation):
         return None
 
 
 class RandomDefender(DefenderPolicy):
-    """Uniform over the disabled defenses plus no-op; never reads the
-    observation."""
+    """Uniform over the disabled defenses plus no-op; reads only the
+    defense bits."""
 
     kind = "random"
 
     def reset(self, graph, rng):
+        self._defense_ids = graph.defense_ids
         self._rng = rng
 
-    def select(self, observation, mask):
-        options = list(mask) + [None]
+    def select(self, observation):
+        options = [self._defense_ids[i] for i in _disabled_indices(observation)] + [None]
         return options[int(self._rng.integers(len(options)))]
 
 
@@ -79,16 +85,17 @@ class TripwireDefender(DefenderPolicy):
     kind = "tripwire"
 
     def reset(self, graph, rng):
-        self._child_indices = {
-            d: np.array([graph.attack_index[c] for c in graph.children(d)], dtype=int)
+        self._defense_ids = graph.defense_ids
+        self._child_indices = [
+            np.array([graph.attack_index[c] for c in graph.children(d)], dtype=int)
             for d in graph.defense_ids
-        }
+        ]
 
-    def select(self, observation, mask):
-        for defense in mask:
-            idx = self._child_indices[defense]
+    def select(self, observation):
+        for i in _disabled_indices(observation):
+            idx = self._child_indices[i]
             if idx.size and observation.attack_bits[idx].any():
-                return defense
+                return self._defense_ids[i]
         return None
 
 
@@ -107,17 +114,16 @@ class PolicyStep(NamedTuple):
 def learned_select(
     observation: Observation,
     params: "ppo.PolicyParams",
-    mask: tuple[str, ...],
     rng: np.random.Generator,
     mode: str,
-    defense_ids: tuple[str, ...],
 ) -> PolicyStep:
     """Pick an action index through the policy network. Already-enabled
-    defenses get zero probability via the action mask; `sample` draws from
-    the masked categorical, `greedy` takes the argmax."""
+    defenses (defense bit 1) get zero probability and the trailing no-op is
+    always legal; `sample` draws from the masked categorical, `greedy`
+    takes the argmax."""
     x = observation.vector()
     logits, value = ppo.forward(params, x)
-    legal = ppo.legal_action_mask(defense_ids, mask)
+    legal = np.append(observation.defense_bits == 0, True)
     probs, logp_all = ppo.masked_log_softmax(logits, legal)
     if mode == "greedy":
         action = int(np.argmax(np.where(legal, probs, -1.0)))
@@ -145,15 +151,12 @@ class LearnedDefender(DefenderPolicy):
                 f"policy built for |A|,|D|={params_dims} cannot drive a graph "
                 f"with |A|,|D|={(graph.num_attack_steps, graph.num_defense_steps)}"
             )
-        self._defense_ids = graph.defense_ids
         # action index -> defense id; the trailing index is the no-op
         self._action_ids = graph.defense_ids + (None,)
         self._rng = rng
 
-    def select(self, observation, mask):
-        decision = learned_select(
-            observation, self.params, mask, self._rng, self.mode, self._defense_ids
-        )
+    def select(self, observation):
+        decision = learned_select(observation, self.params, self._rng, self.mode)
         return self._action_ids[decision.action]
 
 
@@ -165,9 +168,7 @@ class RecordingDefender(LearnedDefender):
         super().__init__(params, mode="sample")
         self.decisions: list[PolicyStep] = []
 
-    def select(self, observation, mask):
-        decision = learned_select(
-            observation, self.params, mask, self._rng, self.mode, self._defense_ids
-        )
+    def select(self, observation):
+        decision = learned_select(observation, self.params, self._rng, self.mode)
         self.decisions.append(decision)
         return self._action_ids[decision.action]

@@ -38,13 +38,21 @@ class NoiseConfig:
             raise ValueError(f"fnr must be in [0, 1], got {self.fnr}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Observation:
     """Defender's view: noisy attack-step bits plus exact defense-step bits,
-    in graph index order."""
+    in graph index order. A defense bit of 0 is a legal enable. Two
+    observations are equal when their bits are."""
 
     attack_bits: np.ndarray
     defense_bits: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, Observation):
+            return NotImplemented
+        return np.array_equal(self.attack_bits, other.attack_bits) and np.array_equal(
+            self.defense_bits, other.defense_bits
+        )
 
     def vector(self) -> np.ndarray:
         return np.concatenate([self.attack_bits, self.defense_bits]).astype(np.float64)
@@ -82,22 +90,23 @@ class SimState:
     thresholds: np.ndarray = field(init=False)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    reward: float
-    observation: Observation
-    done: bool
-    flags_captured_now: frozenset[str]
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRow:
+    """One time-step of a trajectory: the actions taken at step t, the
+    defender's reward for it, whether the episode ended, and the
+    observation that followed."""
+
     t: int
     attacker_action: str | None
     defender_action: str | None
     reward: float
     done: bool
-    observation: str
+    obs: Observation
+
+    @property
+    def observation(self) -> str:
+        """`obs` as its trajectory bit-string, formatted on each read."""
+        return self.obs.bitstring()
 
 
 @dataclass
@@ -233,8 +242,8 @@ def step(
     state: SimState,
     attacker_action: str | None,
     defender_action: str | None,
-) -> StepOutcome:
-    """Advance one time-step.
+) -> StepRow:
+    """Advance one time-step and return its trajectory row.
 
     The defender's enable resolves before the attacker's work, so a step
     blocked this very step cannot be compromised. The attacker's action must
@@ -291,16 +300,16 @@ def step(
                 flags_now.add(attacker_action)
 
     # 3) reward, 4) next observation, 5) termination
-    reward = reward_of(state, flags_now, state.rewards)
-    observation = observe(state)
-    done = not surface
-    state.t += 1
-    return StepOutcome(
-        reward=reward,
-        observation=observation,
-        done=done,
-        flags_captured_now=frozenset(flags_now),
+    row = StepRow(
+        t=state.t,
+        attacker_action=attacker_action,
+        defender_action=defender_action,
+        reward=reward_of(state, flags_now, state.rewards),
+        done=not surface,
+        obs=observe(state),
     )
+    state.t += 1
+    return row
 
 
 def min_reward_bound(graph: AttackGraph, rewards: RewardConfig, episode_len: int) -> float:
@@ -352,25 +361,11 @@ def run_episode(
     truncated = False
     sampled = dict(state.remaining_ttc)
     while True:
-        surface = state.surface
-        attacker_action = attacker.select(state, surface) if surface else None
-        mask = tuple(d for d in graph.defense_ids if d not in state.enabled)
-        defender_action = defender.select(obs, mask)
-        t = state.t
-        outcome = step(state, attacker_action, defender_action)
-        cumulative += outcome.reward
-        rows.append(
-            StepRow(
-                t=t,
-                attacker_action=attacker_action,
-                defender_action=defender_action,
-                reward=outcome.reward,
-                done=outcome.done,
-                observation=outcome.observation.bitstring(),
-            )
-        )
-        obs = outcome.observation
-        if outcome.done:
+        row = step(state, attacker.select(state), defender.select(obs))
+        rows.append(row)
+        cumulative += row.reward
+        obs = row.obs
+        if row.done:
             break
         if len(rows) >= cap:
             truncated = True

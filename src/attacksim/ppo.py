@@ -138,17 +138,6 @@ def forward(params: PolicyParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return logits, value
 
 
-def legal_action_mask(defense_ids: tuple[str, ...], disabled: tuple[str, ...]) -> np.ndarray:
-    """Boolean mask over the |D|+1 actions; the trailing no-op is always
-    legal."""
-    disabled_set = set(disabled)
-    legal = np.zeros(len(defense_ids) + 1, dtype=bool)
-    for i, did in enumerate(defense_ids):
-        legal[i] = did in disabled_set
-    legal[-1] = True
-    return legal
-
-
 def masked_log_softmax(logits: np.ndarray, legal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(probs, log-probs) of the categorical restricted to legal actions;
     illegal actions get exactly zero probability and -inf log-probability."""

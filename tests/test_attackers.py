@@ -13,7 +13,7 @@ from attacksim.graph import (
     attack_surface,
     default_rewards,
 )
-from attacksim.engine import NoiseConfig, init_episode, run_episode, step
+from attacksim.engine import NoiseConfig, init_episode, observe, run_episode, step, sync_derived
 from attacksim import attackers as attackers_module
 from attacksim.attackers import (
     MixtureAttacker,
@@ -43,6 +43,16 @@ def or_chain(ids_with_ttc):
 
 def fresh_state(graph, seed=1):
     return init_episode(graph, NO_NOISE, UNIT_REWARDS, seed=seed)
+
+
+def exhausted_state():
+    """A state whose attack surface is empty: every step is compromised."""
+    g = or_chain([("a", 1.0)])
+    state = fresh_state(g)
+    state.compromised.add("a")
+    sync_derived(state)
+    assert state.surface == set()
+    return g, state
 
 
 def dijkstra_work_steps(graph, work, sources):
@@ -84,14 +94,14 @@ class TestRandomAttacker:
         state = fresh_state(g)
         attacker = make_attacker("random")
         attacker.reset(g, state, np.random.default_rng(0))
-        assert attacker.select(state, {"a"}) == "a"
+        assert state.surface == {"a"}
+        assert attacker.select(state) == "a"
 
     def test_empty_surface_returns_none(self):
-        g = or_chain([("a", 1.0)])
-        state = fresh_state(g)
+        g, state = exhausted_state()
         attacker = make_attacker("random")
         attacker.reset(g, state, np.random.default_rng(0))
-        assert attacker.select(state, set()) is None
+        assert attacker.select(state) is None
 
     def test_uniform_over_pair(self):
         steps = (
@@ -103,7 +113,8 @@ class TestRandomAttacker:
         state = fresh_state(g)
         attacker = make_attacker("random")
         attacker.reset(g, state, np.random.default_rng(1))
-        counts = Counter(attacker.select(state, {"a", "b"}) for _ in range(10_000))
+        assert state.surface == {"a", "b"}
+        counts = Counter(attacker.select(state) for _ in range(10_000))
         assert abs(counts["a"] / 10_000 - 0.5) < 0.02
 
 
@@ -194,11 +205,9 @@ class TestBreadthFirst:
         state = fresh_state(g, seed=2)
         attacker = make_attacker("bfs")
         attacker.reset(g, state, np.random.default_rng(3))
-        surface = attack_surface(g, state.compromised, state.enabled)
-        first = attacker.select(state, surface)
+        first = attacker.select(state)
         step(state, first, "d" if first == "a" else None)
-        surface = attack_surface(g, state.compromised, state.enabled)
-        second = attacker.select(state, surface)
+        second = attacker.select(state)
         if first == "a":
             assert second == "b"
 
@@ -339,8 +348,7 @@ class TestPathfinder:
             state.remaining_ttc.update({"left": 3.0, "right": 7.0, "flag": 1.0})
             attacker = make_attacker("pathfinder")
             attacker.reset(g, state, np.random.default_rng(seed))
-            surface = attack_surface(g, state.compromised, state.enabled)
-            assert attacker.select(state, surface) == "left"
+            assert attacker.select(state) == "left"
 
     def test_targets_cheapest_flag_first(self):
         steps = (
@@ -357,8 +365,7 @@ class TestPathfinder:
         state.remaining_ttc.update({"near": 5.0, "mid": 6.0, "far": 6.0})
         attacker = make_attacker("pathfinder")
         attacker.reset(g, state, np.random.default_rng(0))
-        surface = attack_surface(g, state.compromised, state.enabled)
-        assert attacker.select(state, surface) == "near"
+        assert attacker.select(state) == "near"
 
     def test_replans_when_route_severed(self):
         g = diamond_graph(3, 7)
@@ -366,13 +373,11 @@ class TestPathfinder:
         state.remaining_ttc.update({"left": 3.0, "right": 7.0, "flag": 1.0})
         attacker = make_attacker("pathfinder")
         attacker.reset(g, state, np.random.default_rng(4))
-        surface = attack_surface(g, state.compromised, state.enabled)
-        assert attacker.select(state, surface) == "left"
+        assert attacker.select(state) == "left"
         # the defender cuts the cheap arm in the same step
         step(state, "left", "d_left")
-        surface = attack_surface(g, state.compromised, state.enabled)
-        assert surface == {"right"}
-        assert attacker.select(state, surface) == "right"
+        assert attack_surface(g, state.compromised, state.enabled) == state.surface == {"right"}
+        assert attacker.select(state) == "right"
 
     def test_time_to_first_flag_matches_dijkstra(self):
         rng = np.random.default_rng(33)
@@ -412,11 +417,11 @@ class TestPathfinder:
         )
         state = fresh_state(g)
         state.enabled.add("d")
+        sync_derived(state)
         attacker = make_attacker("pathfinder")
         attacker.reset(g, state, np.random.default_rng(0))
-        surface = attack_surface(g, state.compromised, state.enabled)
-        assert surface == {"a"}
-        assert attacker.select(state, surface) == "a"
+        assert attack_surface(g, state.compromised, state.enabled) == state.surface == {"a"}
+        assert attacker.select(state) == "a"
 
     def test_no_replan_while_no_flag_reachable(self, monkeypatch):
         steps = (
@@ -441,15 +446,15 @@ class TestPathfinder:
         state.remaining_ttc.update({"a": 10.0, "b": 10.0, "f": 10.0})
         attacker = make_attacker("pathfinder")
         attacker.reset(g, state, np.random.default_rng(0))
-        assert attacker.select(state, state.surface) == "f"
+        assert attacker.select(state) == "f"
         step(state, "f", "d")  # cuts the only flag
-        step(state, attacker.select(state, state.surface), None)
+        step(state, attacker.select(state), None)
         calls.clear()
         for _ in range(5):
-            step(state, attacker.select(state, state.surface), None)
+            step(state, attacker.select(state), None)
         assert calls == []
-        step(state, attacker.select(state, state.surface), "d2")
-        assert attacker.select(state, state.surface) == "b"
+        step(state, attacker.select(state), "d2")
+        assert attacker.select(state) == "b"
         assert calls == [1]
 
 
@@ -514,6 +519,16 @@ class TestActionsAlwaysOnSurface:
                 episodes += 1
 
     @pytest.mark.parametrize("kind", ["random", "bfs", "dfs", "pathfinder", "mixture"])
+    def test_no_action_on_an_empty_surface(self, kind):
+        # run_episode asks every attacker each step, so the attacker owns the
+        # no-op: step() rejects None only while the surface is non-empty
+        g, state = exhausted_state()
+        attacker = make_attacker(kind)
+        attacker.reset(g, state, np.random.default_rng(0))
+        assert attacker.select(state) is None
+        assert step(state, None, None).done
+
+    @pytest.mark.parametrize("kind", ["random", "bfs", "dfs", "pathfinder", "mixture"])
     def test_every_selection_is_on_the_surface(self, kind):
         # the engine enforces this; drive policies manually to observe it
         rng = np.random.default_rng(hash(kind) % 2**32)
@@ -528,7 +543,6 @@ class TestActionsAlwaysOnSurface:
                 surface = attack_surface(g, state.compromised, state.enabled)
                 if not surface:
                     break
-                action = attacker.select(state, surface)
+                action = attacker.select(state)
                 assert action in surface
-                mask = tuple(d for d in g.defense_ids if d not in state.enabled)
-                step(state, action, defender.select(None, mask))
+                step(state, action, defender.select(observe(state)))

@@ -77,6 +77,18 @@ class TestSimulate:
         assert err.startswith("attacksim: error: attack_steps[1].ttc: ")
         assert len(err.splitlines()) == 1
 
+    def test_graph_violation_exits_two(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text(
+            '{"attack_steps": [{"id": "e", "entry": true}, {"id": "a", "ttc": 1}, '
+            '{"id": "f", "ttc": 1, "flag": true}], "edges": [["e", "a"]]}'
+        )
+        assert run_cli(["simulate", "--graph", str(graph)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attacksim: error: ")
+        assert "unreachable flag f" in err
+        assert len(err.splitlines()) == 1
+
     def test_unknown_graph_exits_two(self, capsys):
         assert run_cli(["simulate", "--graph", "missing.json"]) == 2
         assert "neither a file nor a bundled graph" in capsys.readouterr().err
@@ -201,6 +213,29 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert err.startswith("attacksim: error: jobs must be >= 1")
         assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["scaling"], "--sizes", "20,x"),
+            (["scaling"], "--sizes", ","),
+            (["sweep", "--graph", "toy"], "--seeds", ","),
+            (["sweep", "--graph", "toy"], "--seeds", "1,two"),
+            (["evaluate", "--graph", "toy"], "--seeds", ","),
+        ],
+    )
+    def test_bad_integer_list_names_its_flag(self, tmp_path, capsys, command, flag, value):
+        out_dir = tmp_path / "out"
+        argv = command + [flag, value]
+        if command[0] != "evaluate":
+            argv += ["--out-dir", str(out_dir)]
+        with pytest.raises(SystemExit) as err:
+            run_cli(argv)
+        assert err.value.code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"attacksim {command[0]}: error: argument {flag}: ")
+        assert repr(value) in last
         assert not out_dir.exists()
 
     def test_scaling_with_tiny_settings(self, tmp_path):

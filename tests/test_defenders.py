@@ -8,7 +8,6 @@ from attacksim.graph import (
     AttackGraph,
     AttackStep,
     DefenseStep,
-    attack_surface,
     default_rewards,
 )
 from attacksim.engine import NoiseConfig, Observation, init_episode, observe, run_episode, step
@@ -44,14 +43,16 @@ class TestRandomDefender:
         g = two_defense_graph()
         defender = make_defender("random")
         defender.reset(g, np.random.default_rng(0))
+        obs = obs_of(g, [1, 1, 1], [1, 1])
         for _ in range(50):
-            assert defender.select(None, ()) is None
+            assert defender.select(obs) is None
 
     def test_fifty_fifty_with_one_disabled(self):
         g = two_defense_graph()
         defender = make_defender("random")
         defender.reset(g, np.random.default_rng(1))
-        counts = Counter(defender.select(None, ("d0",)) for _ in range(10_000))
+        obs = obs_of(g, [0, 0, 0], [0, 1])
+        counts = Counter(defender.select(obs) for _ in range(10_000))
         assert abs(counts["d0"] / 10_000 - 0.5) < 0.02
         assert abs(counts[None] / 10_000 - 0.5) < 0.02
 
@@ -64,8 +65,8 @@ class TestRandomDefender:
         )
         defender = make_defender("random")
         defender.reset(g, np.random.default_rng(2))
-        mask = ("d0", "d1", "d2")
-        counts = Counter(defender.select(None, mask) for _ in range(10_000))
+        obs = obs_of(g, [0, 0], [0, 0, 0])
+        counts = Counter(defender.select(obs) for _ in range(10_000))
         for option in ["d0", "d1", "d2", None]:
             assert abs(counts[option] / 10_000 - 0.25) < 0.02
 
@@ -77,23 +78,23 @@ class TestTripwire:
         defender.reset(g, np.random.default_rng(0))
         # a (index 1) reads compromised; d0 guards a
         obs = obs_of(g, [0, 1, 0], [0, 0])
-        assert defender.select(obs, ("d0", "d1")) == "d0"
+        assert defender.select(obs) == "d0"
 
     def test_noop_when_all_bits_zero(self):
         g = two_defense_graph()
         defender = make_defender("tripwire")
         defender.reset(g, np.random.default_rng(0))
         obs = obs_of(g, [0, 0, 0], [0, 0])
-        assert defender.select(obs, ("d0", "d1")) is None
+        assert defender.select(obs) is None
 
     def test_lowest_index_fires_first(self):
         g = two_defense_graph()
         defender = make_defender("tripwire")
         defender.reset(g, np.random.default_rng(0))
         obs = obs_of(g, [0, 1, 1], [0, 0])  # both children alerting
-        assert defender.select(obs, ("d0", "d1")) == "d0"
+        assert defender.select(obs) == "d0"
         # with d0 already enabled, the next triggered defense fires
-        assert defender.select(obs, ("d1",)) == "d1"
+        assert defender.select(obs_of(g, [0, 1, 1], [1, 0])) == "d1"
 
     def test_never_fires_with_fnr_one(self, four_ways_graph):
         rewards = default_rewards(four_ways_graph)
@@ -119,17 +120,12 @@ class TestTripwire:
             defender = make_defender("tripwire")
             defender.reset(g, np.random.default_rng(0))
             obs = observe(state)
-            while True:
-                surface = attack_surface(g, state.compromised, state.enabled)
-                if not surface:
-                    break
-                mask = tuple(d for d in g.defense_ids if d not in state.enabled)
-                action = defender.select(obs, mask)
+            while state.surface:
+                action = defender.select(obs)
                 if action is not None:
                     children = g.children(action)
                     assert any(c in state.compromised for c in children)
-                outcome = step(state, attacker.select(state, surface), action)
-                obs = outcome.observation
+                obs = step(state, attacker.select(state), action).obs
 
     def test_fnr_zero_reacts_next_step(self):
         # with perfect recall, a compromised child of a disabled defense
@@ -140,10 +136,9 @@ class TestTripwire:
         state.remaining_ttc["a"] = 1.0
         defender = make_defender("tripwire")
         defender.reset(g, np.random.default_rng(0))
-        outcome = step(state, "a", None)
+        row = step(state, "a", None)
         assert "a" in state.compromised
-        mask = tuple(d for d in g.defense_ids if d not in state.enabled)
-        assert defender.select(outcome.observation, mask) == "d0"
+        assert defender.select(row.obs) == "d0"
 
 
 def zero_policy(graph, bp=None):
@@ -164,7 +159,7 @@ class TestLearnedDefender:
         defender = make_defender("learned", params=params, mode="sample")
         defender.reset(g, np.random.default_rng(7))
         obs = obs_of(g, [1, 0, 0], [0, 0])
-        counts = Counter(defender.select(obs, ("d0", "d1")) for _ in range(10_000))
+        counts = Counter(defender.select(obs) for _ in range(10_000))
         for option in ["d0", "d1", None]:
             assert abs(counts[option] / 10_000 - 1 / 3) < 0.02
 
@@ -175,7 +170,7 @@ class TestLearnedDefender:
         defender.reset(g, np.random.default_rng(0))
         obs = obs_of(g, [1, 0, 0], [1, 1])
         for _ in range(200):
-            assert defender.select(obs, ()) is None
+            assert defender.select(obs) is None
 
     def test_greedy_takes_argmax(self):
         g = two_defense_graph()
@@ -183,7 +178,7 @@ class TestLearnedDefender:
         defender = make_defender("learned", params=params, mode="greedy")
         defender.reset(g, np.random.default_rng(0))
         obs = obs_of(g, [1, 0, 0], [0, 0])
-        assert defender.select(obs, ("d0", "d1")) == "d0"
+        assert defender.select(obs) == "d0"
 
     def test_shape_mismatch_rejected(self, four_ways_graph):
         g = two_defense_graph()
@@ -201,13 +196,13 @@ class TestMaskRespected:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_no_policy_returns_enabled_defense(self, data):
+        # the observation is all a defender gets: its choice is the no-op or
+        # a defense whose bit reads 0
         g = two_defense_graph()
-        mask = tuple(
-            d for d in g.defense_ids if data.draw(st.booleans(), label=f"disabled_{d}")
-        )
         seed = data.draw(st.integers(0, 2**32 - 1))
         obs_bits = [data.draw(st.integers(0, 1)) for _ in range(3)]
-        obs = obs_of(g, obs_bits, [int(d not in mask) for d in g.defense_ids])
+        defense_bits = [data.draw(st.integers(0, 1)) for _ in g.defense_ids]
+        obs = obs_of(g, obs_bits, defense_bits)
         params = ppo.init_params(3, 2, np.random.default_rng(seed))
         for kind, kwargs in [
             ("none", {}),
@@ -217,5 +212,6 @@ class TestMaskRespected:
         ]:
             defender = make_defender(kind, **kwargs)
             defender.reset(g, np.random.default_rng(seed))
-            choice = defender.select(obs, mask)
-            assert choice is None or choice in mask
+            for _ in range(5):
+                choice = defender.select(obs)
+                assert choice is None or defense_bits[g.defense_index[choice]] == 0

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from attacksim import ppo
 from attacksim.graph import default_rewards
-from attacksim.engine import NoiseConfig
+from attacksim.engine import NoiseConfig, Observation
+from attacksim.defenders import learned_select
 from attacksim.attackers import make_attacker
 from attacksim.ppo import (
     HyperParams,
@@ -13,7 +14,6 @@ from attacksim.ppo import (
     forward,
     gae_advantages,
     init_params,
-    legal_action_mask,
     load_policy,
     masked_log_softmax,
     ppo_loss,
@@ -151,9 +151,20 @@ class TestMaskedSoftmax:
         assert np.all(probs[~legal] < 1e-12)
         assert np.all(np.isneginf(logp[~legal]))
 
-    def test_legal_mask_layout(self):
-        legal = legal_action_mask(("d0", "d1", "d2"), ("d1",))
-        assert legal.tolist() == [False, True, False, True]
+    def test_learned_select_legal_layout(self):
+        # one entry per defense in index order (legal where its bit is 0),
+        # then the always-legal no-op
+        params = init_params(2, 3, np.random.default_rng(0))
+        obs = Observation(
+            attack_bits=np.array([1, 0], dtype=np.uint8),
+            defense_bits=np.array([1, 0, 1], dtype=np.uint8),
+        )
+        for mode in ("sample", "greedy"):
+            decision = learned_select(obs, params, np.random.default_rng(1), mode)
+            assert decision.legal.dtype == bool
+            assert decision.legal.tolist() == [False, True, False, True]
+            assert decision.probs[~decision.legal].tolist() == [0.0, 0.0]
+            assert decision.action in (1, 3)
 
 
 class TestGae:
