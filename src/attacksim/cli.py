@@ -52,19 +52,23 @@ def _resolve_graph(ref: str):
     return graph
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; argparse names the flag in the error."""
+def _parse_list(text: str, convert, noun: str) -> tuple:
+    """Comma-separated values; argparse names the flag in the error."""
     try:
-        values = tuple(int(x) for x in text.split(",") if x.strip() != "")
+        values = tuple(convert(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s, got {text!r}") from None
     if not values:
-        raise argparse.ArgumentTypeError(f"must list at least one integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must list at least one {noun}, got {text!r}")
     return values
 
 
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return _parse_list(text, int, "integer")
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip() != "")
+    return _parse_list(text, float, "number")
 
 
 def _rewards_for(graph, args):

@@ -21,6 +21,9 @@ from . import ppo
 
 DEFENDER_KINDS = ("none", "random", "tripwire", "learned")
 
+# the legal-mask entry of the trailing no-op action
+_NOOP_LEGAL = np.ones(1, dtype=bool)
+
 
 def make_defender(kind: str, params: "ppo.PolicyParams | None" = None, mode: str = "sample"):
     if kind == "none":
@@ -120,13 +123,13 @@ def learned_select(
     """Pick an action index through the policy network. Already-enabled
     defenses (defense bit 1) get zero probability and the trailing no-op is
     always legal; `sample` draws from the masked categorical, `greedy`
-    takes the argmax."""
+    takes the argmax (a legal action: the illegal ones have probability 0)."""
     x = observation.vector()
     logits, value = ppo.forward(params, x)
-    legal = np.append(observation.defense_bits == 0, True)
+    legal = np.concatenate((observation.defense_bits == 0, _NOOP_LEGAL))
     probs, logp_all = ppo.masked_log_softmax(logits, legal)
     if mode == "greedy":
-        action = int(np.argmax(np.where(legal, probs, -1.0)))
+        action = int(probs.argmax())
     elif mode == "sample":
         action = ppo.sample_action(probs, legal, rng)
     else:

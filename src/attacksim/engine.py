@@ -55,7 +55,7 @@ class Observation:
         )
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.attack_bits, self.defense_bits]).astype(np.float64)
+        return np.concatenate((self.attack_bits, self.defense_bits), dtype=np.float64)
 
     def bitstring(self) -> str:
         bits = np.concatenate([self.attack_bits, self.defense_bits]).astype(np.uint8, copy=False)
@@ -70,10 +70,12 @@ class SimState:
     surface), `compromised_bits` and `enabled_bits` (their 0/1 membership
     vectors in graph index order) and `thresholds` (per attack step, the
     IDS error rate its truth bit selects: fnr if compromised, else fpr)
-    mirror them (the thresholds also mirror `noise`). `sync_derived` builds
-    the mirrors and `step()` keeps them current; code that assigns or edits
-    `compromised`, `enabled` or `noise` directly must call
-    `sync_derived(state)` before the next `observe` or `step`."""
+    mirror them (the thresholds also mirror `noise`). `enabled_bits` is
+    read-only and shared by every observation until the next enable, which
+    replaces it. `sync_derived` builds the mirrors and `step()` keeps them
+    current; code that assigns or edits `compromised`, `enabled` or `noise`
+    directly must call `sync_derived(state)` before the next `observe` or
+    `step`."""
 
     graph: AttackGraph
     noise: NoiseConfig
@@ -199,11 +201,13 @@ def sync_derived(state: SimState) -> None:
         dtype=np.uint8,
         count=graph.num_defense_steps,
     )
+    state.enabled_bits.flags.writeable = False
     state.thresholds = np.where(state.compromised_bits, noise.fnr, noise.fpr).astype(np.float64)
 
 
 def observe(state: SimState) -> Observation:
     """Noisy attack bits and exact defense bits; fresh noise every call.
+    The defense bits are `state.enabled_bits` itself (read-only).
 
     One uniform draw u per attack step: a compromised step reads 1 unless
     u < fnr, an uncompromised one reads 1 when u < fpr. Both are
@@ -212,7 +216,7 @@ def observe(state: SimState) -> Observation:
     u = state.rng.random(truth.size)
     return Observation(
         attack_bits=(u < state.thresholds) ^ truth,
-        defense_bits=state.enabled_bits.copy(),
+        defense_bits=state.enabled_bits,
     )
 
 
@@ -249,8 +253,9 @@ def step(
     blocked this very step cannot be compromised. The attacker's action must
     come from `state.surface` as it stood when actions were chosen; the
     engine enforces both masks and keeps `state.surface` current in
-    O(children of the changed steps), and the bit vectors and thresholds
-    with one index write each per change.
+    O(children of the changed steps), the compromised bits and thresholds
+    with one index write each per change, and the read-only enabled bits
+    by a fresh copy per enable, so earlier observations keep theirs.
     """
     graph = state.graph
     surface = state.surface
@@ -270,7 +275,10 @@ def step(
     #    are no longer considered compromised (the flag penalty is not refunded)
     if defender_action is not None:
         state.enabled.add(defender_action)
-        state.enabled_bits[graph.defense_index[defender_action]] = 1
+        enabled_bits = state.enabled_bits.copy()
+        enabled_bits[graph.defense_index[defender_action]] = 1
+        enabled_bits.flags.writeable = False
+        state.enabled_bits = enabled_bits
         for child in graph.children(defender_action):
             surface.discard(child)
             if child in state.compromised:

@@ -124,33 +124,26 @@ def forward(params: PolicyParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Policy logits and value estimate; accepts one input vector or a
     batch of rows."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != params.input_dim:
-        raise ValueError(f"input width {x.shape[1]} != |A|+|D| = {params.input_dim}")
+    if x.shape[-1] != params.input_dim:
+        raise ValueError(f"input width {x.shape[-1]} != |A|+|D| = {params.input_dim}")
     h1 = np.tanh(x @ params.w1 + params.b1)
     h2 = np.tanh(h1 @ params.w2 + params.b2)
     logits = h2 @ params.wp + params.bp
-    value = (h2 @ params.wv + params.bv)[:, 0]
-    if single:
-        return logits[0], float(value[0])
+    value = (h2 @ params.wv + params.bv)[..., 0]
+    if x.ndim == 1:
+        return logits, float(value)
     return logits, value
 
 
 def masked_log_softmax(logits: np.ndarray, legal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(probs, log-probs) of the categorical restricted to legal actions;
-    illegal actions get exactly zero probability and -inf log-probability."""
-    logits = np.asarray(logits, dtype=np.float64)
-    masked = np.where(legal, logits, -np.inf)
-    zmax = np.max(masked, axis=-1, keepdims=True)
-    shifted = masked - zmax
-    ez = np.where(legal, np.exp(shifted), 0.0)
+    illegal actions get exactly zero probability and -inf log-probability.
+    At least one action per row must be legal (the no-op always is)."""
+    masked = np.where(legal, np.asarray(logits, dtype=np.float64), -np.inf)
+    shifted = masked - masked.max(axis=-1, keepdims=True)
+    ez = np.exp(shifted)
     total = ez.sum(axis=-1, keepdims=True)
-    probs = ez / total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(legal, shifted - np.log(total), -np.inf)
-    return probs, logp
+    return ez / total, shifted - np.log(total)
 
 
 def masked_entropy(probs: np.ndarray, logp: np.ndarray) -> np.ndarray:
@@ -163,8 +156,7 @@ def sample_action(probs: np.ndarray, legal: np.ndarray, rng: np.random.Generator
     """Draw an action index from a masked categorical; never returns an
     illegal action even under cumulative-sum float edge cases."""
     r = float(rng.random())
-    cumulative = np.cumsum(probs)
-    action = int(np.searchsorted(cumulative, r, side="right"))
+    action = int(probs.cumsum().searchsorted(r, side="right"))
     if action >= probs.shape[0] or not legal[action]:
         action = int(np.flatnonzero(legal)[-1])
     return action

@@ -90,6 +90,21 @@ def reachable_oracle(graph: AttackGraph, start: str) -> set:
     return seen
 
 
+def masked_log_softmax_oracle(logits, legal):
+    """The masked softmax in its first form: both the exponentials and the
+    log-probabilities are masked by np.where, the log under errstate."""
+    logits = np.asarray(logits, dtype=np.float64)
+    masked = np.where(legal, logits, -np.inf)
+    zmax = np.max(masked, axis=-1, keepdims=True)
+    shifted = masked - zmax
+    ez = np.where(legal, np.exp(shifted), 0.0)
+    total = ez.sum(axis=-1, keepdims=True)
+    probs = ez / total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(legal, shifted - np.log(total), -np.inf)
+    return probs, logp
+
+
 @pytest.fixture
 def toy_graph():
     return bundled_graph("toy")

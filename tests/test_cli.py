@@ -223,6 +223,9 @@ class TestExperimentCommands:
             (["sweep", "--graph", "toy"], "--seeds", ","),
             (["sweep", "--graph", "toy"], "--seeds", "1,two"),
             (["evaluate", "--graph", "toy"], "--seeds", ","),
+            # the one float list takes the same path
+            (["sweep", "--graph", "toy"], "--values", ","),
+            (["sweep", "--graph", "toy"], "--values", "0,x"),
         ],
     )
     def test_bad_integer_list_names_its_flag(self, tmp_path, capsys, command, flag, value):
@@ -236,6 +239,7 @@ class TestExperimentCommands:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"attacksim {command[0]}: error: argument {flag}: ")
         assert repr(value) in last
+        assert "_parse" not in last  # no internal function name
         assert not out_dir.exists()
 
     def test_scaling_with_tiny_settings(self, tmp_path):

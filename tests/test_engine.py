@@ -154,6 +154,21 @@ class TestObserve:
             int(d == "block_east") for d in four_ways_graph.defense_ids
         ]
 
+    def test_defense_bits_shared_until_an_enable_and_read_only(self, four_ways_graph):
+        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=1)
+        first = step(state, min(state.surface), None)
+        second = step(state, min(state.surface), None)
+        assert second.obs.defense_bits is first.obs.defense_bits
+        third = step(state, min(state.surface), "block_east")
+        assert first.obs.defense_bits.tolist() == [0, 0, 0, 0]
+        assert third.obs.defense_bits.tolist() == [
+            int(d == "block_east") for d in four_ways_graph.defense_ids
+        ]
+        sync_derived(state)
+        for bits in (first.obs.defense_bits, third.obs.defense_bits, state.enabled_bits):
+            with pytest.raises(ValueError, match="read-only"):
+                bits[0] = 1
+
     def test_empirical_rates_match_configured(self):
         # 200 attack steps, half compromised; 1000 observations give 1e5
         # bits per class

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attacksim import ppo
 from attacksim.graph import default_rewards
@@ -23,6 +24,8 @@ from attacksim.ppo import (
     train,
 )
 
+from conftest import masked_log_softmax_oracle
+
 
 def zero_params(num_attack=3, num_defense=2, hidden=(4, 4)):
     params = init_params(num_attack, num_defense, np.random.default_rng(0), hidden=hidden)
@@ -37,16 +40,19 @@ def make_batch(
     n: int = 12,
     behavior: PolicyParams | None = None,
     hp: HyperParams | None = None,
+    legal: np.ndarray | None = None,
 ) -> TrajectoryBatch:
     """Synthetic whole-episode batch; log-probs and value estimates come from
-    the behavior params (defaults to `params` itself, giving ratio 1)."""
+    the behavior params (defaults to `params` itself, giving ratio 1). The
+    legal mask is drawn at random unless given."""
     behavior = behavior or params
     hp = hp or HyperParams()
     obs = rng.integers(0, 2, size=(n, params.input_dim)).astype(np.float64)
-    legal = np.ones((n, params.action_dim), dtype=bool)
-    for i in range(n):
-        for j in range(params.action_dim - 1):
-            legal[i, j] = rng.random() < 0.7
+    if legal is None:
+        legal = np.ones((n, params.action_dim), dtype=bool)
+        for i in range(n):
+            for j in range(params.action_dim - 1):
+                legal[i, j] = rng.random() < 0.7
     logits, values = forward(behavior, obs)
     probs, logp_all = masked_log_softmax(logits, legal)
     actions = np.array(
@@ -131,6 +137,23 @@ class TestForward:
         assert np.allclose(logits, expected_logits, atol=1e-12)
         assert value == pytest.approx(expected_value, abs=1e-12)
 
+    def test_single_row_equals_batched_row(self):
+        # a 1-D input runs as 1-D; its outputs are bit-identical to row 0 of
+        # the same input as a one-row batch
+        rng = np.random.default_rng(11)
+        for num_attack, num_defense in ((1, 1), (4, 4), (20, 5), (80, 8), (250, 9)):
+            params = init_params(num_attack, num_defense, rng)
+            for x in (
+                rng.integers(0, 2, params.input_dim).astype(np.float64),
+                rng.standard_normal(params.input_dim),
+            ):
+                logits, value = forward(params, x)
+                batch_logits, batch_values = forward(params, x[None, :])
+                assert logits.shape == (params.action_dim,)
+                assert np.array_equal(logits, batch_logits[0])
+                assert type(value) is float
+                assert value == batch_values[0]
+
     def test_shape_mismatch_rejected(self):
         params = zero_params()
         with pytest.raises(ValueError, match="input width"):
@@ -150,6 +173,22 @@ class TestMaskedSoftmax:
         assert probs[legal].sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probs[~legal] < 1e-12)
         assert np.all(np.isneginf(logp[~legal]))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_reference_formula(self, data):
+        rows = data.draw(st.integers(0, 4))
+        n = data.draw(st.integers(1, 8))
+        shape = (rows, n) if rows else (n,)
+        logits = data.draw(arrays(np.float64, shape, elements=st.floats(-1e4, 1e4)))
+        legal = data.draw(arrays(bool, shape))
+        legal[..., -1] = True  # the no-op
+        if data.draw(st.booleans()):
+            legal[..., :-1] = False  # the no-op is the only legal action
+        probs, logp = masked_log_softmax(logits, legal)
+        ref_probs, ref_logp = masked_log_softmax_oracle(logits, legal)
+        assert np.array_equal(probs, ref_probs)
+        assert np.array_equal(logp, ref_logp)
 
     def test_learned_select_legal_layout(self):
         # one entry per defense in index order (legal where its bit is 0),
@@ -372,10 +411,16 @@ class TestGradients:
         for arr in behavior.arrays().values():
             arr += rng.normal(scale=0.1, size=arr.shape)
         hp = HyperParams(k_s=0.05, k_kl=2.0, k_vf=0.5, clip_eps=0.2)
-        batch = make_batch(params, rng, n=16, behavior=behavior, hp=hp)
-        _, _, analytic = ppo_loss_and_grads(params, batch, hp)
-        numeric = fd_gradients(params, batch, hp)
-        assert max_rel_error(analytic, numeric) < 1e-4
+        batches = [make_batch(params, rng, n=16, behavior=behavior, hp=hp)]
+        # the one-legal-action corner: in every other row only the no-op is
+        # legal, so logp is -inf on all of that row's other actions
+        only_noop = batches[0].legal.copy()
+        only_noop[::2, :-1] = False
+        batches.append(make_batch(params, rng, n=16, behavior=behavior, hp=hp, legal=only_noop))
+        for batch in batches:
+            _, _, analytic = ppo_loss_and_grads(params, batch, hp)
+            numeric = fd_gradients(params, batch, hp)
+            assert max_rel_error(analytic, numeric) < 1e-4
 
 
 class TestSgdUpdate:
