@@ -2,9 +2,10 @@
 
 Subcommands: generate, simulate, train, evaluate, sweep, attacker-matrix,
 scaling. Every run is fully seeded, so identical invocations produce
-byte-identical output files (pass --timing to record wall-clock training
-times at the expense of that guarantee). Exit codes: 0 success, 1 usage
-error, 2 runtime failure.
+byte-identical output files. The one exception is `<name>_timing.csv`,
+which the experiment commands write beside their metrics: the wall-clock
+training seconds of each learned metrics row. Exit codes: 0 success,
+2 usage error or runtime failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from . import experiments, ppo
 from .attackers import canonical_kind, make_attacker
 from .defenders import DEFENDER_KINDS
-from .engine import NoiseConfig, write_trajectory
+from .engine import NoiseConfig, write_csv, write_trajectory
 from .generate import GenConfig, generate
 from .graph import (
     bundled_graph,
@@ -29,13 +30,6 @@ from .graph import (
 )
 
 ATTACKER_CHOICES = ("random", "bfs", "dfs", "pathfinder", "mixture")
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage errors exit 1; argparse's default of 2 is reserved for runtime failures
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _resolve_graph(ref: str):
@@ -69,6 +63,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return _parse_list(text, float, "number")
+
+
+def _parse_defenders(text: str) -> tuple[str, ...]:
+    return _parse_list(text, str.strip, "defender kind")
 
 
 def _rewards_for(graph, args):
@@ -124,15 +122,14 @@ def _add_experiment_flags(parser):
     parser.add_argument("--seeds", type=_parse_ints, default=experiments.DESK_SEEDS)
     parser.add_argument("--iterations", type=int, default=experiments.DESK_ITERATIONS)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timing", action="store_true", help="record wall-clock training seconds (output no longer byte-stable)")
     parser.add_argument("--out-dir", required=True)
     _add_hyperparam_flags(parser)
     parser.add_argument("--json", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="attacksim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="attacksim", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a random attack graph")
     p.add_argument("--size", type=int, required=True, help="number of attack steps (multiple of 20)")
@@ -185,7 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="noise-grid sweep over defenders")
     p.add_argument("--graph", required=True)
-    p.add_argument("--defenders", default="random,tripwire", help="comma-separated defender kinds")
+    p.add_argument(
+        "--defenders",
+        type=_parse_defenders,
+        default="random,tripwire",
+        help=f"comma-separated defender kinds, of {', '.join(DEFENDER_KINDS)} (default: %(default)s)",
+    )
     p.add_argument("--values", type=_parse_floats, default=experiments.FULL_NOISE_VALUES, help="ascending noise rates")
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="dfs")
     _add_experiment_flags(p)
@@ -254,13 +256,8 @@ def _cmd_simulate(args) -> int:
         for r in records
     ]
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["episode", "length", "reward", "flags_fraction", "truncated"])
-            for r in records:
-                writer.writerow([r.episode, r.length, repr(r.cumulative_reward), repr(r.flags_fraction), int(r.truncated)])
+        rows = ((r.episode, r.length, r.cumulative_reward, r.flags_fraction, int(r.truncated)) for r in records)
+        write_csv(args.out, ("episode", "length", "reward", "flags_fraction", "truncated"), rows)
     summary = {
         "episodes": len(records),
         "mean_reward": sum(r.cumulative_reward for r in records) / len(records),
@@ -320,6 +317,9 @@ def _experiment_outputs(args, rows, name) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     experiments.write_metrics_csv(rows, out_dir / f"{name}.csv")
     experiments.write_summary_csv(rows, out_dir / f"{name}_summary.csv")
+    timing = ("cell_id", "defender", "eval_attacker", "seed", "train_seconds")
+    learned = ([getattr(r, c) for c in timing] for r in rows if r.defender == "learned")
+    write_csv(out_dir / f"{name}_timing.csv", timing, learned)
     _emit(args, {"rows": len(rows), "out_dir": args.out_dir},
           f"{name.replace('_', ' ')}: {len(rows)} rows -> {args.out_dir}/{name}.csv")
     return 0
@@ -327,20 +327,15 @@ def _experiment_outputs(args, rows, name) -> int:
 
 def _cmd_sweep(args) -> int:
     graph = _resolve_graph(args.graph)
-    defenders = [d.strip() for d in args.defenders.split(",") if d.strip()]
-    for d in defenders:
-        if d not in DEFENDER_KINDS:
-            raise ValueError(f"unknown defender {d!r}; expected one of {DEFENDER_KINDS}")
     rows = experiments.run_sweep(
         graph,
-        defenders,
+        list(args.defenders),
         values=tuple(args.values),
         episodes=args.episodes,
         seeds=tuple(args.seeds),
         hp=_hp_from_args(args, args.iterations),
         attacker=canonical_kind(args.attacker),
         jobs=args.jobs,
-        timing=args.timing,
     )
     return _experiment_outputs(args, rows, "sweep")
 
@@ -354,7 +349,6 @@ def _cmd_attacker_matrix(args) -> int:
         episodes=args.episodes,
         seeds=tuple(args.seeds),
         jobs=args.jobs,
-        timing=args.timing,
     )
     return _experiment_outputs(args, rows, "attacker_matrix")
 
@@ -369,7 +363,6 @@ def _cmd_scaling(args) -> int:
         attacker=canonical_kind(args.attacker),
         graph_seed=args.graph_seed,
         jobs=args.jobs,
-        timing=args.timing,
     )
     return _experiment_outputs(args, rows, "scaling")
 

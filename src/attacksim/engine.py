@@ -393,20 +393,20 @@ def run_episode(
     )
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as UTF-8 CSV. The csv module writes floats
+    with repr (so they round-trip exactly) and None as an empty field."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_trajectory(record: EpisodeRecord, path) -> None:
     """One CSV row per time-step: t, actions, reward, done and the
     observation bit-string (attack bits then defense bits)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for row in record.steps:
-            writer.writerow(
-                [
-                    row.t,
-                    row.attacker_action or "",
-                    row.defender_action or "",
-                    repr(row.reward),
-                    int(row.done),
-                    row.observation,
-                ]
-            )
+    rows = (
+        (row.t, row.attacker_action, row.defender_action, row.reward, int(row.done), row.observation)
+        for row in record.steps
+    )
+    write_csv(path, TRAJECTORY_COLUMNS, rows)

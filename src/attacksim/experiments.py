@@ -15,20 +15,19 @@ are byte-stable for a fixed config.
 
 from __future__ import annotations
 
-import csv
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .graph import AttackGraph, RewardConfig, default_rewards
 from .generate import GenConfig, generate
-from .engine import CONTEXT_EVAL, EpisodeRecord, NoiseConfig, run_episode
+from .engine import CONTEXT_EVAL, EpisodeRecord, NoiseConfig, run_episode, write_csv
 from .attackers import make_attacker
-from .defenders import make_defender
+from .defenders import DEFENDER_KINDS, make_defender
 from . import ppo
 
 DESK_EPISODES = 100
@@ -36,25 +35,6 @@ DESK_SEEDS = (1, 2)
 DESK_ITERATIONS = 50
 
 FULL_NOISE_VALUES = (0.0, 0.125, 0.25, 0.725, 1.0)
-
-METRICS_COLUMNS = (
-    "experiment",
-    "cell_id",
-    "fpr",
-    "fnr",
-    "graph_size",
-    "train_attacker",
-    "eval_attacker",
-    "defender",
-    "seed",
-    "mean_reward",
-    "flags_fraction",
-    "mean_len",
-    "min_len",
-    "max_len",
-    "train_seconds",
-)
-
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -91,7 +71,12 @@ class MetricsRow:
     mean_len: float
     min_len: int
     max_len: int
-    train_seconds: float = 0.0
+    truncated: int = 0  # episodes that hit the step cap
+    # wall-clock, so left out of equality and of the metrics CSV
+    train_seconds: float = field(default=0.0, compare=False)
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow) if f.compare)
 
 
 def run_episodes(
@@ -147,6 +132,7 @@ def evaluate(config: EvalConfig, experiment: str = "evaluate", cell_id: str = ""
                 mean_len=float(np.mean(lengths)),
                 min_len=int(min(lengths)),
                 max_len=int(max(lengths)),
+                truncated=sum(r.truncated for r in records),
             )
         )
     return rows
@@ -203,7 +189,6 @@ class _Task(NamedTuple):
     hp: "ppo.HyperParams"
     train_attacker: str
     eval_attackers: tuple[str, ...]
-    timing: bool
 
 
 def _cell(task: _Task) -> list[MetricsRow]:
@@ -215,7 +200,7 @@ def _cell(task: _Task) -> list[MetricsRow]:
             task.graph, make_attacker(task.train_attacker), task.noise, rewards, task.hp, task.seed
         )
         train_attacker = task.train_attacker
-        train_seconds = round(time.perf_counter() - start, 3) if task.timing else 0.0
+        train_seconds = round(time.perf_counter() - start, 3)
     rows = []
     for eval_attacker in task.eval_attackers:
         config = EvalConfig(
@@ -254,16 +239,18 @@ def run_sweep(
     hp: "ppo.HyperParams | None" = None,
     attacker: str = "depth_first",
     jobs: int = 1,
-    timing: bool = False,
 ) -> list[MetricsRow]:
     """Noise-grid sweep: heuristic defenders are evaluated directly on each
     grid cell; the learned defender trains one policy per (cell, seed)
     against the depth-first attacker before evaluation."""
+    for defender in defenders:
+        if defender not in DEFENDER_KINDS:
+            raise ValueError(f"unknown defender {defender!r}; expected one of {DEFENDER_KINDS}")
     hp = hp or ppo.HyperParams(iterations=DESK_ITERATIONS)
     tasks = [
         _Task(
             "sweep", f"fpr={fpr}_fnr={fnr}", graph, defender, NoiseConfig(fpr=fpr, fnr=fnr),
-            seed, episodes, hp, attacker, (attacker,), timing,
+            seed, episodes, hp, attacker, (attacker,),
         )
         for defender in defenders
         for (fpr, fnr) in noise_grid(values)
@@ -279,7 +266,6 @@ def attacker_matrix(
     episodes: int = DESK_EPISODES,
     seeds: tuple[int, ...] = DESK_SEEDS,
     jobs: int = 1,
-    timing: bool = False,
 ) -> list[MetricsRow]:
     """Generalization matrix: one learned policy per training attacker,
     evaluated against every attacker kind (5x5 cells per seed)."""
@@ -288,7 +274,7 @@ def attacker_matrix(
     tasks = [
         _Task(
             "attacker_matrix", f"train={train_attacker}_eval={{eval_attacker}}", graph,
-            "learned", NoiseConfig(*noise), seed, episodes, hp, train_attacker, kinds, timing,
+            "learned", NoiseConfig(*noise), seed, episodes, hp, train_attacker, kinds,
         )
         for train_attacker in kinds
         for seed in seeds
@@ -305,7 +291,6 @@ def scaling_study(
     attacker: str = "depth_first",
     graph_seed: int = 1,
     jobs: int = 1,
-    timing: bool = False,
 ) -> list[MetricsRow]:
     """Graph-size scaling: generate one graph per size, train the learned
     defender on it and evaluate learned + tripwire."""
@@ -314,7 +299,7 @@ def scaling_study(
     tasks = [
         _Task(
             "scaling", f"size={size}_defender={defender}", graphs[size], defender,
-            NoiseConfig(*noise), seed, episodes, hp, attacker, (attacker,), timing,
+            NoiseConfig(*noise), seed, episodes, hp, attacker, (attacker,),
         )
         for size in sizes
         for defender in ("learned", "tripwire")
@@ -329,34 +314,28 @@ def scaling_study(
 
 
 def write_metrics_csv(rows: list[MetricsRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.experiment,
-                    row.cell_id,
-                    repr(row.fpr),
-                    repr(row.fnr),
-                    row.graph_size,
-                    row.train_attacker,
-                    row.eval_attacker,
-                    row.defender,
-                    row.seed,
-                    repr(row.mean_reward),
-                    repr(row.flags_fraction),
-                    repr(row.mean_len),
-                    row.min_len,
-                    row.max_len,
-                    repr(row.train_seconds),
-                ]
-            )
+    write_csv(path, METRICS_COLUMNS, ([getattr(row, c) for c in METRICS_COLUMNS] for row in rows))
+
+
+SUMMARY_COLUMNS = (
+    "experiment",
+    "cell_id",
+    "defender",
+    "eval_attacker",
+    "seeds",
+    "mean_reward_mean",
+    "mean_reward_std",
+    "flags_fraction_mean",
+    "flags_fraction_std",
+    "mean_len_mean",
+    "truncated",
+)
 
 
 def aggregate_rows(rows: list[MetricsRow]) -> list[dict]:
-    """Cross-seed aggregation: mean of the per-seed means plus their sample
-    standard deviation, one summary entry per cell."""
+    """Cross-seed aggregation, one summary entry per cell, keyed by
+    `SUMMARY_COLUMNS`: mean of the per-seed means plus their sample
+    standard deviation, and the total of truncated episodes."""
     groups: dict[tuple, list[MetricsRow]] = {}
     for row in rows:
         key = (row.experiment, row.cell_id, row.defender, row.eval_attacker)
@@ -366,44 +345,20 @@ def aggregate_rows(rows: list[MetricsRow]) -> list[dict]:
         cell_rows = groups[key]
         rewards = np.array([r.mean_reward for r in cell_rows])
         flags = np.array([r.flags_fraction for r in cell_rows])
-        summaries.append(
-            {
-                "experiment": key[0],
-                "cell_id": key[1],
-                "defender": key[2],
-                "eval_attacker": key[3],
-                "seeds": len(cell_rows),
-                "mean_reward_mean": float(rewards.mean()),
-                "mean_reward_std": float(rewards.std(ddof=1)) if len(cell_rows) > 1 else 0.0,
-                "flags_fraction_mean": float(flags.mean()),
-                "flags_fraction_std": float(flags.std(ddof=1)) if len(cell_rows) > 1 else 0.0,
-                "mean_len_mean": float(np.mean([r.mean_len for r in cell_rows])),
-            }
+        spread = len(cell_rows) > 1
+        values = (
+            *key,
+            len(cell_rows),
+            float(rewards.mean()),
+            float(rewards.std(ddof=1)) if spread else 0.0,
+            float(flags.mean()),
+            float(flags.std(ddof=1)) if spread else 0.0,
+            float(np.mean([r.mean_len for r in cell_rows])),
+            sum(r.truncated for r in cell_rows),
         )
+        summaries.append(dict(zip(SUMMARY_COLUMNS, values, strict=True)))
     return summaries
 
 
 def write_summary_csv(rows: list[MetricsRow], path) -> None:
-    summaries = aggregate_rows(rows)
-    columns = (
-        "experiment",
-        "cell_id",
-        "defender",
-        "eval_attacker",
-        "seeds",
-        "mean_reward_mean",
-        "mean_reward_std",
-        "flags_fraction_mean",
-        "flags_fraction_std",
-        "mean_len_mean",
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for entry in summaries:
-            writer.writerow(
-                [
-                    entry[c] if not isinstance(entry[c], float) else repr(entry[c])
-                    for c in columns
-                ]
-            )
+    write_csv(path, SUMMARY_COLUMNS, (entry.values() for entry in aggregate_rows(rows)))

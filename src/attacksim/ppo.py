@@ -10,13 +10,13 @@ backpropagation over numpy arrays; optimization is plain minibatch SGD.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from .graph import AttackGraph, RewardConfig
 from . import engine
-from .engine import NoiseConfig
+from .engine import NoiseConfig, write_csv
 
 HIDDEN_LAYERS = (128, 128)
 
@@ -147,9 +147,7 @@ def masked_log_softmax(logits: np.ndarray, legal: np.ndarray) -> tuple[np.ndarra
 
 
 def masked_entropy(probs: np.ndarray, logp: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        contrib = np.where(probs > 0, probs * logp, 0.0)
-    return -contrib.sum(axis=-1)
+    return -(probs * np.where(probs > 0, logp, 0.0)).sum(axis=-1)
 
 
 def sample_action(probs: np.ndarray, legal: np.ndarray, rng: np.random.Generator) -> int:
@@ -233,7 +231,12 @@ def _check_finite(name: str, value, diagnostics: dict) -> None:
 
 
 def _loss_pieces(params: PolicyParams, batch: TrajectoryBatch, hp: HyperParams):
-    logits, values = forward(params, batch.obs)
+    # forward() inlined, keeping the hidden layers for backpropagation
+    x = np.asarray(batch.obs, dtype=np.float64)
+    h1 = np.tanh(x @ params.w1 + params.b1)
+    h2 = np.tanh(h1 @ params.w2 + params.b2)
+    logits = h2 @ params.wp + params.bp
+    values = (h2 @ params.wv + params.bv)[:, 0]
     probs, logp_all = masked_log_softmax(logits, batch.legal)
     n = len(batch)
     rows = np.arange(n)
@@ -265,7 +268,7 @@ def _loss_pieces(params: PolicyParams, batch: TrajectoryBatch, hp: HyperParams):
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > hp.clip_eps)),
     }
     _check_finite("loss", loss, diagnostics)
-    internals = (logits, values, probs, logp_all, logp, ratio, unclipped, clipped)
+    internals = (x, h1, h2, values, probs, logp_all, ratio, unclipped, clipped)
     return loss, diagnostics, internals
 
 
@@ -280,7 +283,7 @@ def ppo_loss_and_grads(params: PolicyParams, batch: TrajectoryBatch, hp: HyperPa
     """Loss, diagnostics and hand-backpropagated gradients for every
     parameter array."""
     loss, diagnostics, internals = _loss_pieces(params, batch, hp)
-    logits, values, probs, logp_all, logp, ratio, unclipped, clipped = internals
+    x, h1, h2, values, probs, logp_all, ratio, unclipped, clipped = internals
     n = len(batch)
     rows = np.arange(n)
     adv = batch.advantages
@@ -307,10 +310,6 @@ def ppo_loss_and_grads(params: PolicyParams, batch: TrajectoryBatch, hp: HyperPa
     dvalues = np.where(verr < hp.vf_clip, 2.0 * (values - batch.returns), 0.0) * (
         hp.k_vf / n
     )
-
-    x = np.asarray(batch.obs, dtype=np.float64)
-    h1 = np.tanh(x @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
 
     grads = {}
     grads["wp"] = h2.T @ dlogits
@@ -453,23 +452,8 @@ def train(
 
 
 def write_curve(curve: list[CurvePoint], path) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["iteration", "mean_episode_reward", "mean_flags_captured", "approx_kl", "clip_fraction"]
-        )
-        for point in curve:
-            writer.writerow(
-                [
-                    point.iteration,
-                    repr(point.mean_episode_reward),
-                    repr(point.mean_flags_captured),
-                    repr(point.approx_kl),
-                    repr(point.clip_fraction),
-                ]
-            )
+    header = [f.name for f in fields(CurvePoint)]
+    write_csv(path, header, (astuple(point) for point in curve))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -54,10 +55,10 @@ class TestSimulate:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("episode")]
         assert len(lines) == 10
 
-    def test_unknown_attacker_exits_one(self):
+    def test_unknown_attacker_exits_two(self):
         with pytest.raises(SystemExit) as err:
             run_cli(["simulate", "--graph", "toy", "--attacker", "warp"])
-        assert err.value.code == 1
+        assert err.value.code == 2
 
     @pytest.mark.parametrize("episodes", ["0", "-2"])
     def test_non_positive_episodes_exit_two(self, episodes, capsys):
@@ -226,6 +227,7 @@ class TestExperimentCommands:
             # the one float list takes the same path
             (["sweep", "--graph", "toy"], "--values", ","),
             (["sweep", "--graph", "toy"], "--values", "0,x"),
+            (["sweep", "--graph", "toy"], "--defenders", ","),
         ],
     )
     def test_bad_integer_list_names_its_flag(self, tmp_path, capsys, command, flag, value):
@@ -235,12 +237,42 @@ class TestExperimentCommands:
             argv += ["--out-dir", str(out_dir)]
         with pytest.raises(SystemExit) as err:
             run_cli(argv)
-        assert err.value.code == 1
+        assert err.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"attacksim {command[0]}: error: argument {flag}: ")
         assert repr(value) in last
         assert "_parse" not in last  # no internal function name
         assert not out_dir.exists()
+
+    def test_learned_sweep_jobs_byte_identical_with_timing_sidecar(self, tmp_path):
+        argv = [
+            "sweep", "--graph", "toy", "--defenders", "learned", "--values", "0",
+            "--episodes", "2", "--seeds", "1,2", "--iterations", "2",
+            "--train-batch", "48", "--minibatch", "16",
+        ]
+        for jobs in ("1", "2"):
+            assert run_cli(argv + ["--jobs", jobs, "--out-dir", str(tmp_path / jobs)]) == 0
+        for name in ("sweep.csv", "sweep_summary.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        for jobs in ("1", "2"):
+            with open(tmp_path / jobs / "sweep.csv") as fh:
+                learned = [r for r in csv.DictReader(fh) if r["defender"] == "learned"]
+            with open(tmp_path / jobs / "sweep_timing.csv") as fh:
+                timing = list(csv.DictReader(fh))
+            key = ("cell_id", "defender", "eval_attacker", "seed")
+            assert [tuple(r[k] for k in key) for r in timing] == [
+                tuple(r[k] for k in key) for r in learned
+            ]
+            assert len(timing) == 2
+            for row in timing:
+                seconds = float(row["train_seconds"])
+                assert math.isfinite(seconds) and seconds >= 0.0
+
+    def test_help_lists_no_timing_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["sweep", "--help"])
+        assert err.value.code == 0
+        assert "--timing" not in capsys.readouterr().out
 
     def test_scaling_with_tiny_settings(self, tmp_path):
         out_dir = tmp_path / "scaling"

@@ -1,13 +1,15 @@
+import math
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from attacksim.graph import AttackGraph, AttackStep, DefenseStep, default_rewards
 from attacksim.engine import NoiseConfig
-from attacksim import experiments
+from attacksim import engine, experiments
 from attacksim.experiments import (
     EvalConfig,
     MetricsRow,
@@ -85,6 +87,14 @@ class TestEvaluate:
             assert [r.attacker_action for r in a.steps] == [
                 r.attacker_action for r in b.steps
             ]
+
+    def test_counts_episodes_cut_at_the_step_cap(self, four_ways_graph, monkeypatch):
+        config = self.config(four_ways_graph, attacker="dfs", defender="none", episodes=5)
+        assert [row.truncated for row in evaluate(config)] == [0, 0]
+        monkeypatch.setattr(engine, "default_step_cap", lambda graph: 2)
+        for row in evaluate(config):
+            assert row.truncated == 5
+            assert row.max_len == 2
 
     def test_config_validation(self, toy_graph):
         with pytest.raises(ValueError):
@@ -200,6 +210,10 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0].defender == "learned"
         assert rows[0].train_attacker == "depth_first"
+        # wall-clock seconds ride along but leave equality alone
+        assert math.isfinite(rows[0].train_seconds) and rows[0].train_seconds >= 0.0
+        assert replace(rows[0], train_seconds=rows[0].train_seconds + 1.0) == rows[0]
+        assert "train_seconds" not in experiments.METRICS_COLUMNS
 
     def test_jobs_parallel_matches_serial(self, toy_graph):
         kwargs = dict(values=(0.0, 1.0), episodes=4, seeds=(1, 2), hp=TINY_HP)
@@ -253,6 +267,10 @@ class TestAggregationAndOutput:
         assert len(rows) == 2
         assert rows[0]["mean_reward"] == "-10.0"
         assert list(rows[0]) == list(experiments.METRICS_COLUMNS)
+
+    def test_summary_sums_truncated_episodes(self):
+        rows = [replace(row, truncated=n) for row, n in zip(self.rows(), (1, 3))]
+        assert aggregate_rows(rows)[0]["truncated"] == 4
 
     def test_summary_csv(self, tmp_path):
         path = tmp_path / "summary.csv"

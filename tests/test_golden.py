@@ -4,7 +4,9 @@ heuristic and a learned defender, the policy and curve files of short PPO
 runs, and the metrics CSVs of tiny experiments, so a refactor or
 optimisation that changes any output bit or RNG draw fails here."""
 
+import csv
 import hashlib
+import io
 
 import numpy as np
 
@@ -70,9 +72,12 @@ def test_golden_episodes_unchanged():
 
 # sha256 over the policy file and curve CSV of short training runs, and over
 # the metrics and summary CSVs of tiny experiments; both captured before
-# collect_batch ran its episodes through run_episode
+# collect_batch ran its episodes through run_episode. The experiments digest
+# is of the CSVs in their earlier format, which the current ones reproduce
+# through `old_format`; EXPERIMENTS_RAW_SHA256 pins the current format.
 TRAINING_SHA256 = "47a1b78dbe7bb303027b38cfabc51783cec55bd683dce0c47116c431c749debe"
 EXPERIMENTS_SHA256 = "03815a4cb4581255f2ae8d2f53ca2db30b70968f41d610ff86dd981d74121063"
+EXPERIMENTS_RAW_SHA256 = "8e7a7e85948a0abf0b3800de6685b60d704b87de32d3dfb0461c777286d0ef70"
 TINY_HP = ppo.HyperParams(iterations=2, train_batch=48, minibatch=16)
 
 
@@ -95,6 +100,22 @@ def test_golden_training_unchanged(tmp_path):
     assert hasher.hexdigest() == TRAINING_SHA256
 
 
+def old_format(data: bytes, metrics: bool) -> bytes:
+    """A metrics or summary CSV in the format EXPERIMENTS_SHA256 was taken
+    in: no `truncated` column and, in metrics CSVs, a trailing
+    `train_seconds` column that always read 0.0. Fails if any episode
+    truncated, since the old format could not show it."""
+    table = list(csv.reader(io.StringIO(data.decode())))
+    i = table[0].index("truncated")
+    assert [row[i] for row in table[1:]] == ["0"] * (len(table) - 1)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    for n, row in enumerate(table):
+        del row[i]
+        writer.writerow(row + (["0.0" if n else "train_seconds"] if metrics else []))
+    return out.getvalue().encode()
+
+
 def test_golden_experiments_unchanged(tmp_path):
     toy = bundled_graph("toy")
     runs = {
@@ -109,10 +130,13 @@ def test_golden_experiments_unchanged(tmp_path):
             sizes=(20,), hp=TINY_HP, episodes=2, seeds=(1, 2)
         ),
     }
-    hasher = hashlib.sha256()
+    old, raw = hashlib.sha256(), hashlib.sha256()
     for name, rows in runs.items():
         experiments.write_metrics_csv(rows, tmp_path / f"{name}.csv")
         experiments.write_summary_csv(rows, tmp_path / f"{name}_summary.csv")
-        hasher.update((tmp_path / f"{name}.csv").read_bytes())
-        hasher.update((tmp_path / f"{name}_summary.csv").read_bytes())
-    assert hasher.hexdigest() == EXPERIMENTS_SHA256
+        for path, metrics in ((f"{name}.csv", True), (f"{name}_summary.csv", False)):
+            data = (tmp_path / path).read_bytes()
+            raw.update(data)
+            old.update(old_format(data, metrics))
+    assert old.hexdigest() == EXPERIMENTS_SHA256
+    assert raw.hexdigest() == EXPERIMENTS_RAW_SHA256
