@@ -17,8 +17,6 @@ import numpy as np
 from .graph import AttackGraph
 from .engine import SimState
 
-ATTACKER_KINDS = ("random", "breadth_first", "depth_first", "pathfinder", "mixture")
-
 _ALIASES = {
     "bfs": "breadth_first",
     "dfs": "depth_first",
@@ -33,14 +31,7 @@ def canonical_kind(kind: str) -> str:
 
 
 def make_attacker(kind: str) -> "AttackerPolicy":
-    kind = canonical_kind(kind)
-    return {
-        "random": RandomAttacker,
-        "breadth_first": BreadthFirstAttacker,
-        "depth_first": DepthFirstAttacker,
-        "pathfinder": PathfinderAttacker,
-        "mixture": MixtureAttacker,
-    }[kind]()
+    return _CLASSES[canonical_kind(kind)]()
 
 
 class AttackerPolicy:
@@ -280,3 +271,10 @@ class MixtureAttacker(AttackerPolicy):
 
     def select(self, state):
         return self._active.select(state)
+
+
+_CLASSES = {
+    cls.kind: cls
+    for cls in (RandomAttacker, BreadthFirstAttacker, DepthFirstAttacker, PathfinderAttacker, MixtureAttacker)
+}
+ATTACKER_KINDS = tuple(_CLASSES)

@@ -22,6 +22,7 @@ from .defenders import DEFENDER_KINDS
 from .engine import NoiseConfig, write_csv, write_trajectory
 from .generate import GenConfig, generate
 from .graph import (
+    RewardConfig,
     bundled_graph,
     bundled_graph_names,
     default_rewards,
@@ -66,13 +67,16 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_defenders(text: str) -> tuple[str, ...]:
-    return _parse_list(text, str.strip, "defender kind")
+    kinds = _parse_list(text, str.strip, "defender kind")
+    for kind in kinds:
+        if kind not in DEFENDER_KINDS:
+            expected = ", ".join(DEFENDER_KINDS)
+            raise argparse.ArgumentTypeError(f"unknown defender {kind!r}; expected one of {expected}")
+    return kinds
 
 
 def _rewards_for(graph, args):
     if args.flag_cost is not None:
-        from .graph import RewardConfig
-
         return RewardConfig(defense_cost=args.defense_cost, flag_cost=args.flag_cost)
     return default_rewards(graph, defense_cost=args.defense_cost)
 
@@ -111,10 +115,9 @@ def _add_hyperparam_flags(parser):
     parser.add_argument("--gae-lambda", type=float, default=hp.gae_lambda, help="advantage smoothing (default: %(default)s)")
 
 
-def _hp_from_args(args, iterations) -> ppo.HyperParams:
-    # every HyperParams field but iterations has a flag of the same name
-    names = [f.name for f in dataclasses.fields(ppo.HyperParams) if f.name != "iterations"]
-    return ppo.HyperParams(iterations=iterations, **{name: getattr(args, name) for name in names})
+def _hp_from_args(args) -> ppo.HyperParams:
+    # every HyperParams field has a flag of the same name
+    return ppo.HyperParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ppo.HyperParams)})
 
 
 def _add_experiment_flags(parser):
@@ -127,8 +130,14 @@ def _add_experiment_flags(parser):
     parser.add_argument("--json", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line naming the flag, without the usage block
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="attacksim", description=__doc__)
+    parser = _Parser(prog="attacksim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a random attack graph")
@@ -273,7 +282,7 @@ def _cmd_train(args) -> int:
     graph = _resolve_graph(args.graph)
     noise = NoiseConfig(fpr=args.fpr, fnr=args.fnr)
     rewards = _rewards_for(graph, args)
-    hp = _hp_from_args(args, args.iterations)
+    hp = _hp_from_args(args)
     attacker = make_attacker(args.attacker)
     params, curve = ppo.train(graph, attacker, noise, rewards, hp, args.seed)
     ppo.save_policy(params, args.out, seed=args.seed, hp=hp)
@@ -288,18 +297,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     graph = _resolve_graph(args.graph)
-    config = experiments.EvalConfig(
-        graph=graph,
-        attacker=canonical_kind(args.attacker),
-        defender=args.defender,
-        noise=NoiseConfig(fpr=args.fpr, fnr=args.fnr),
-        rewards=_rewards_for(graph, args),
-        episodes=args.episodes,
-        seeds=tuple(args.seeds),
-        policy=_load_policy_arg(args),
-        mode=args.mode,
+    rows = experiments.evaluate(
+        graph, canonical_kind(args.attacker), args.defender, NoiseConfig(fpr=args.fpr, fnr=args.fnr),
+        _rewards_for(graph, args), args.episodes, tuple(args.seeds), _load_policy_arg(args), args.mode,
     )
-    rows = experiments.evaluate(config)
     if args.out:
         experiments.write_metrics_csv(rows, args.out)
     lines = [
@@ -333,7 +334,7 @@ def _cmd_sweep(args) -> int:
         values=tuple(args.values),
         episodes=args.episodes,
         seeds=tuple(args.seeds),
-        hp=_hp_from_args(args, args.iterations),
+        hp=_hp_from_args(args),
         attacker=canonical_kind(args.attacker),
         jobs=args.jobs,
     )
@@ -344,7 +345,7 @@ def _cmd_attacker_matrix(args) -> int:
     graph = _resolve_graph(args.graph)
     rows = experiments.attacker_matrix(
         graph,
-        hp=_hp_from_args(args, args.iterations),
+        hp=_hp_from_args(args),
         noise=(args.fpr, args.fnr),
         episodes=args.episodes,
         seeds=tuple(args.seeds),
@@ -356,7 +357,7 @@ def _cmd_attacker_matrix(args) -> int:
 def _cmd_scaling(args) -> int:
     rows = experiments.scaling_study(
         sizes=args.sizes,
-        hp=_hp_from_args(args, args.iterations),
+        hp=_hp_from_args(args),
         noise=(args.fpr, args.fnr),
         episodes=args.episodes,
         seeds=tuple(args.seeds),

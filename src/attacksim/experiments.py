@@ -18,15 +18,15 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .graph import AttackGraph, RewardConfig, default_rewards
 from .generate import GenConfig, generate
-from .engine import CONTEXT_EVAL, EpisodeRecord, NoiseConfig, run_episode, write_csv
-from .attackers import make_attacker
+from .engine import EpisodeRecord, NoiseConfig, run_episode, write_csv
+from .attackers import ATTACKER_KINDS, make_attacker
 from .defenders import DEFENDER_KINDS, make_defender
 from . import ppo
 
@@ -35,24 +35,6 @@ DESK_SEEDS = (1, 2)
 DESK_ITERATIONS = 50
 
 FULL_NOISE_VALUES = (0.0, 0.125, 0.25, 0.725, 1.0)
-
-@dataclass(frozen=True)
-class EvalConfig:
-    graph: AttackGraph
-    attacker: str
-    defender: str
-    noise: NoiseConfig
-    rewards: RewardConfig
-    episodes: int = DESK_EPISODES
-    seeds: tuple[int, ...] = DESK_SEEDS
-    policy: "ppo.PolicyParams | None" = None
-    mode: str = "sample"
-
-    def __post_init__(self):
-        if self.episodes < 1:
-            raise ValueError(f"episodes must be >= 1, got {self.episodes}")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -89,43 +71,43 @@ def run_episodes(
     episodes: int,
     policy: "ppo.PolicyParams | None" = None,
     mode: str = "sample",
-    context: int = CONTEXT_EVAL,
 ) -> list[EpisodeRecord]:
     attacker = make_attacker(attacker_kind)
     defender = make_defender(defender_kind, params=policy, mode=mode)
     return [
-        run_episode(graph, attacker, defender, noise, rewards, seed, episode=ep, context=context)
+        run_episode(graph, attacker, defender, noise, rewards, seed, episode=ep)
         for ep in range(episodes)
     ]
 
 
-def evaluate(config: EvalConfig, experiment: str = "evaluate", cell_id: str = "") -> list[MetricsRow]:
-    """One metrics row per seed for the configured (graph, attacker,
-    defender, noise) cell."""
+def evaluate(
+    graph: AttackGraph, attacker: str, defender: str, noise: NoiseConfig, rewards: RewardConfig,
+    episodes: int = DESK_EPISODES, seeds: tuple[int, ...] = DESK_SEEDS,
+    policy: "ppo.PolicyParams | None" = None, mode: str = "sample",
+    *, experiment: str = "evaluate", cell_id: str = "", train_attacker: str = "", train_seconds: float = 0.0,
+) -> list[MetricsRow]:
+    """One metrics row per seed for the (graph, attacker, defender, noise)
+    cell; the keyword arguments only label the rows."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
     rows = []
-    for seed in config.seeds:
+    for seed in seeds:
         records = run_episodes(
-            config.graph,
-            config.attacker,
-            config.defender,
-            config.noise,
-            config.rewards,
-            seed,
-            config.episodes,
-            policy=config.policy,
-            mode=config.mode,
+            graph, attacker, defender, noise, rewards, seed, episodes, policy=policy, mode=mode
         )
         lengths = [r.length for r in records]
         rows.append(
             MetricsRow(
                 experiment=experiment,
-                cell_id=cell_id or f"fpr={config.noise.fpr}_fnr={config.noise.fnr}",
-                fpr=config.noise.fpr,
-                fnr=config.noise.fnr,
-                graph_size=config.graph.num_attack_steps,
-                train_attacker="",
-                eval_attacker=config.attacker,
-                defender=config.defender,
+                cell_id=cell_id or f"fpr={noise.fpr}_fnr={noise.fnr}",
+                fpr=noise.fpr,
+                fnr=noise.fnr,
+                graph_size=graph.num_attack_steps,
+                train_attacker=train_attacker,
+                eval_attacker=attacker,
+                defender=defender,
                 seed=seed,
                 mean_reward=float(np.mean([r.cumulative_reward for r in records])),
                 flags_fraction=float(np.mean([r.flags_fraction for r in records])),
@@ -133,6 +115,7 @@ def evaluate(config: EvalConfig, experiment: str = "evaluate", cell_id: str = ""
                 min_len=int(min(lengths)),
                 max_len=int(max(lengths)),
                 truncated=sum(r.truncated for r in records),
+                train_seconds=train_seconds,
             )
         )
     return rows
@@ -203,15 +186,12 @@ def _cell(task: _Task) -> list[MetricsRow]:
         train_seconds = round(time.perf_counter() - start, 3)
     rows = []
     for eval_attacker in task.eval_attackers:
-        config = EvalConfig(
+        rows += evaluate(
             task.graph, eval_attacker, task.defender, task.noise, rewards,
             task.episodes, (task.seed,), policy,
+            experiment=task.experiment, cell_id=task.cell_id.format(eval_attacker=eval_attacker),
+            train_attacker=train_attacker, train_seconds=train_seconds,
         )
-        cell_id = task.cell_id.format(eval_attacker=eval_attacker)
-        rows += [
-            replace(row, train_attacker=train_attacker, train_seconds=train_seconds)
-            for row in evaluate(config, task.experiment, cell_id)
-        ]
     return rows
 
 
@@ -270,13 +250,12 @@ def attacker_matrix(
     """Generalization matrix: one learned policy per training attacker,
     evaluated against every attacker kind (5x5 cells per seed)."""
     hp = hp or ppo.HyperParams(iterations=DESK_ITERATIONS)
-    kinds = ("random", "breadth_first", "depth_first", "pathfinder", "mixture")
     tasks = [
         _Task(
             "attacker_matrix", f"train={train_attacker}_eval={{eval_attacker}}", graph,
-            "learned", NoiseConfig(*noise), seed, episodes, hp, train_attacker, kinds,
+            "learned", NoiseConfig(*noise), seed, episodes, hp, train_attacker, ATTACKER_KINDS,
         )
-        for train_attacker in kinds
+        for train_attacker in ATTACKER_KINDS
         for seed in seeds
     ]
     return _run_cells(tasks, jobs)

@@ -8,11 +8,12 @@ own guarding defense step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AttackGraph, AttackStep, DefenseStep
+from .graph import AttackGraph, AttackStep, DefenseStep, check_ttc_total
 
 FLAG_INTERVAL = 20  # one flag (and one defense) per 20 attack steps
 
@@ -34,7 +35,7 @@ class GenConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         lo, hi = self.ttc_mean_range
-        if not (0 <= lo <= hi):
+        if not (0 <= lo <= hi < math.inf):
             raise ValueError(f"invalid ttc_mean_range {self.ttc_mean_range}")
         for name in ("and_fraction", "extra_parent_prob"):
             p = getattr(self, name)
@@ -98,4 +99,5 @@ def generate(config: GenConfig) -> AttackGraph:
     violations = graph.violations()
     if violations:
         raise RuntimeError(f"generator produced an invalid graph: {list(violations)}")
+    check_ttc_total(graph)
     return graph

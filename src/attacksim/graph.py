@@ -46,10 +46,10 @@ class RewardConfig:
     flag_cost: float
 
     def __post_init__(self):
-        if self.defense_cost <= 0:
-            raise ValueError(f"defense_cost must be positive, got {self.defense_cost}")
-        if self.flag_cost <= 0:
-            raise ValueError(f"flag_cost must be positive, got {self.flag_cost}")
+        for name in ("defense_cost", "flag_cost"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -337,8 +337,13 @@ def load_graph(text: str) -> AttackGraph:
     violations = graph.violations()
     if violations:
         raise GraphFormatError(f"document violates graph invariants: {list(violations)}")
-    # the engine's step cap, 10 * (|A| + total TTC), and the flag cost are
-    # derived from the summed TTC and must stay finite
+    check_ttc_total(graph)
+    return graph
+
+
+def check_ttc_total(graph: AttackGraph) -> None:
+    """The engine's step cap, 10 * (|A| + total TTC), and the flag cost are
+    derived from the summed TTC and must stay finite."""
     total = graph.total_ttc()
     step_cap = 10 * (graph.num_attack_steps + total)
     if not (math.isfinite(step_cap) and math.isfinite(FLAG_COST_FACTOR * total)):
@@ -346,7 +351,6 @@ def load_graph(text: str) -> AttackGraph:
             f"attack_steps[*].ttc: the TTCs sum to {total!r}, "
             "too large for the step cap and the flag cost"
         )
-    return graph
 
 
 def save_graph(graph: AttackGraph) -> str:

@@ -10,7 +10,8 @@ backpropagation over numpy arrays; optimization is plain minibatch SGD.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass, field, fields
+import math
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,8 +40,13 @@ class HyperParams:
     iterations: int = 500
 
     def __post_init__(self):
-        for name, low in (("train_batch", 1), ("minibatch", 1), ("iterations", 0)):
-            value = getattr(self, name)
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            low = 1 if name in ("train_batch", "minibatch") else 0
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name in ("gamma", "gae_lambda") and not 0 <= value <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
 
@@ -63,28 +69,22 @@ class PolicyParams:
 
     @property
     def input_dim(self) -> int:
-        return self.num_attack_steps + self.num_defense_steps
+        return self.w1.shape[0]
 
     @property
     def action_dim(self) -> int:
-        return self.num_defense_steps + 1
+        return self.wp.shape[1]
 
     @property
     def hidden_dims(self) -> tuple[int, int]:
         return (self.w1.shape[1], self.w2.shape[1])
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            name: getattr(self, name)
-            for name in ("w1", "b1", "w2", "b2", "wp", "bp", "wv", "bv")
-        }
+        table = weight_table(self.num_attack_steps, self.num_defense_steps, self.hidden_dims)
+        return {name: getattr(self, name) for name, _, _ in table}
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(
-            self.num_attack_steps,
-            self.num_defense_steps,
-            **{k: v.copy() for k, v in self.arrays().items()},
-        )
+        return replace(self, **{name: array.copy() for name, array in self.arrays().items()})
 
 
 def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> np.ndarray:
@@ -96,6 +96,23 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> 
     return (gain * q[:rows, :cols]).astype(np.float64)
 
 
+def weight_table(num_attack_steps: int, num_defense_steps: int, hidden: tuple[int, int]) -> tuple:
+    """(name, shape, orthogonal-init gain) of every weight array, in the
+    order init_params draws them; biases have no gain and start at zero."""
+    n_in, n_out = num_attack_steps + num_defense_steps, num_defense_steps + 1
+    h1, h2 = hidden
+    return (
+        ("w1", (n_in, h1), np.sqrt(2.0)),
+        ("b1", (h1,), None),
+        ("w2", (h1, h2), np.sqrt(2.0)),
+        ("b2", (h2,), None),
+        ("wp", (h2, n_out), 0.01),
+        ("bp", (n_out,), None),
+        ("wv", (h2, 1), 1.0),
+        ("bv", (1,), None),
+    )
+
+
 def init_params(
     num_attack_steps: int,
     num_defense_steps: int,
@@ -103,21 +120,19 @@ def init_params(
     hidden: tuple[int, int] = HIDDEN_LAYERS,
 ) -> PolicyParams:
     """Orthogonally initialized trunk with small-gain output heads."""
-    input_dim = num_attack_steps + num_defense_steps
-    action_dim = num_defense_steps + 1
-    h1, h2 = hidden
-    return PolicyParams(
-        num_attack_steps=num_attack_steps,
-        num_defense_steps=num_defense_steps,
-        w1=_orthogonal(rng, input_dim, h1, gain=np.sqrt(2.0)),
-        b1=np.zeros(h1),
-        w2=_orthogonal(rng, h1, h2, gain=np.sqrt(2.0)),
-        b2=np.zeros(h2),
-        wp=_orthogonal(rng, h2, action_dim, gain=0.01),
-        bp=np.zeros(action_dim),
-        wv=_orthogonal(rng, h2, 1, gain=1.0),
-        bv=np.zeros(1),
-    )
+    weights = {
+        name: np.zeros(shape) if gain is None else _orthogonal(rng, *shape, gain=gain)
+        for name, shape, gain in weight_table(num_attack_steps, num_defense_steps, hidden)
+    }
+    return PolicyParams(num_attack_steps, num_defense_steps, **weights)
+
+
+def _layers(params: PolicyParams, x: np.ndarray):
+    """Both hidden layers, the logits and the value of the MLP on one input
+    vector or a batch of rows."""
+    h1 = np.tanh(x @ params.w1 + params.b1)
+    h2 = np.tanh(h1 @ params.w2 + params.b2)
+    return h1, h2, h2 @ params.wp + params.bp, (h2 @ params.wv + params.bv)[..., 0]
 
 
 def forward(params: PolicyParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
@@ -126,10 +141,7 @@ def forward(params: PolicyParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.input_dim:
         raise ValueError(f"input width {x.shape[-1]} != |A|+|D| = {params.input_dim}")
-    h1 = np.tanh(x @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
-    logits = h2 @ params.wp + params.bp
-    value = (h2 @ params.wv + params.bv)[..., 0]
+    _, _, logits, value = _layers(params, x)
     if x.ndim == 1:
         return logits, float(value)
     return logits, value
@@ -180,18 +192,7 @@ class TrajectoryBatch:
         return self.obs.shape[0]
 
     def subset(self, idx: np.ndarray) -> "TrajectoryBatch":
-        return TrajectoryBatch(
-            obs=self.obs[idx],
-            actions=self.actions[idx],
-            logp_old=self.logp_old[idx],
-            rewards=self.rewards[idx],
-            values_old=self.values_old[idx],
-            dones=self.dones[idx],
-            legal=self.legal[idx],
-            probs_old=self.probs_old[idx],
-            advantages=self.advantages[idx],
-            returns=self.returns[idx],
-        )
+        return TrajectoryBatch(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
     def finalize(self, gamma: float, gae_lambda: float) -> None:
         adv, ret = gae_advantages(self.rewards, self.values_old, self.dones, gamma, gae_lambda)
@@ -231,12 +232,8 @@ def _check_finite(name: str, value, diagnostics: dict) -> None:
 
 
 def _loss_pieces(params: PolicyParams, batch: TrajectoryBatch, hp: HyperParams):
-    # forward() inlined, keeping the hidden layers for backpropagation
     x = np.asarray(batch.obs, dtype=np.float64)
-    h1 = np.tanh(x @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
-    logits = h2 @ params.wp + params.bp
-    values = (h2 @ params.wv + params.bv)[:, 0]
+    h1, h2, logits, values = _layers(params, x)
     probs, logp_all = masked_log_softmax(logits, batch.legal)
     n = len(batch)
     rows = np.arange(n)
@@ -489,26 +486,20 @@ def load_policy(path) -> PolicyParams:
     try:
         num_attack, num_defense = int(doc["num_attack_steps"]), int(doc["num_defense_steps"])
         h1, h2 = (int(h) for h in doc["hidden_layers"])
-        expected = {
-            "w1": (num_attack + num_defense, h1),
-            "b1": (h1,),
-            "w2": (h1, h2),
-            "b2": (h2,),
-            "wp": (h2, num_defense + 1),
-            "bp": (num_defense + 1,),
-            "wv": (h2, 1),
-            "bv": (1,),
-        }
-        if sorted(doc["weights"]) != sorted(expected):
-            raise ValueError(f"weights {sorted(doc['weights'])}, expected {sorted(expected)}")
+        table = weight_table(num_attack, num_defense, (h1, h2))
+        names = sorted(name for name, _, _ in table)
+        if sorted(doc["weights"]) != names:
+            raise ValueError(f"weights {sorted(doc['weights'])}, expected {names}")
         weights = {}
-        for name, shape in expected.items():
+        for name, shape, _ in table:
             entry = doc["weights"][name]
             weights[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
             if weights[name].shape != shape:
                 raise ValueError(
                     f"weight {name} has shape {weights[name].shape}, the header implies {shape}"
                 )
+            if not np.isfinite(weights[name]).all():
+                raise ValueError(f"weight {name} has a non-finite entry")
         return PolicyParams(num_attack_steps=num_attack, num_defense_steps=num_defense, **weights)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed policy file {path}: {exc}") from exc

@@ -37,6 +37,19 @@ class TestGenerate:
         assert run_cli(["generate", "--size", "21", "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ttc_max, message",
+        [("inf", "invalid ttc_mean_range"), ("1e308", "the TTCs sum to inf")],
+    )
+    def test_ttc_bound_too_large_writes_no_file(self, tmp_path, capsys, ttc_max, message):
+        out = tmp_path / "g.json"
+        argv = ["generate", "--size", "20", "--ttc-max", ttc_max, "--out", str(out)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attacksim: error: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_episode_summary_rows(self, tmp_path, capsys):
@@ -55,10 +68,23 @@ class TestSimulate:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("episode")]
         assert len(lines) == 10
 
-    def test_unknown_attacker_exits_two(self):
+    def test_unknown_attacker_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(["simulate", "--graph", "toy", "--attacker", "warp"])
         assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("attacksim simulate: error: argument --attacker: ")
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--flag-cost", "inf", "flag_cost"), ("--defense-cost", "nan", "defense_cost")],
+    )
+    def test_non_finite_cost_exits_two(self, capsys, flag, value, field):
+        assert run_cli(["simulate", "--graph", "toy", "--episodes", "2", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"attacksim: error: {field} must be finite and positive")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("episodes", ["0", "-2"])
     def test_non_positive_episodes_exit_two(self, episodes, capsys):
@@ -153,13 +179,16 @@ class TestTrainEvaluate:
             ("--minibatch", "0", "minibatch"),
             ("--train-batch", "0", "train_batch"),
             ("--iterations", "-1", "iterations"),
+            ("--clip-eps", "-1", "clip_eps"),
+            ("--lr", "nan", "lr"),
+            ("--gamma", "1.5", "gamma"),
         ],
     )
     def test_out_of_range_training_numbers_exit_two(self, tmp_path, capsys, flag, value, field):
         policy = tmp_path / "policy.json"
         assert run_cli(["train", "--graph", "toy", "--out", str(policy), flag, value]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"attacksim: error: {field} must be >= ")
+        assert err.startswith(f"attacksim: error: {field} must ")
         assert len(err.splitlines()) == 1
         assert not policy.exists()
 
@@ -190,11 +219,15 @@ class TestExperimentCommands:
         assert (out_dir / "sweep_summary.csv").exists()
 
     def test_unknown_defender_in_sweep(self, tmp_path, capsys):
-        code = run_cli(
-            ["sweep", "--graph", "toy", "--defenders", "ghost", "--out-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert "ghost" in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["sweep", "--graph", "toy", "--defenders", "random,ghost", "--out-dir", str(out_dir)])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("attacksim sweep: error: argument --defenders: ")
+        assert "'ghost'" in lines[0]
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "command",
@@ -238,7 +271,9 @@ class TestExperimentCommands:
         with pytest.raises(SystemExit) as err:
             run_cli(argv)
         assert err.value.code == 2
-        last = capsys.readouterr().err.splitlines()[-1]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        last = lines[0]
         assert last.startswith(f"attacksim {command[0]}: error: argument {flag}: ")
         assert repr(value) in last
         assert "_parse" not in last  # no internal function name

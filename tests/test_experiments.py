@@ -11,7 +11,6 @@ from attacksim.graph import AttackGraph, AttackStep, DefenseStep, default_reward
 from attacksim.engine import NoiseConfig
 from attacksim import engine, experiments
 from attacksim.experiments import (
-    EvalConfig,
     MetricsRow,
     aggregate_rows,
     attacker_matrix,
@@ -60,10 +59,10 @@ class TestEvaluate:
             seeds=(1, 2),
         )
         defaults.update(overrides)
-        return EvalConfig(**defaults)
+        return defaults
 
     def test_rewards_finite_and_non_positive(self, two_keys_graph):
-        rows = evaluate(self.config(two_keys_graph))
+        rows = evaluate(**self.config(two_keys_graph))
         assert len(rows) == 2
         for row in rows:
             assert np.isfinite(row.mean_reward)
@@ -72,7 +71,7 @@ class TestEvaluate:
             assert row.min_len <= row.mean_len <= row.max_len
 
     def test_deterministic(self, two_keys_graph):
-        assert evaluate(self.config(two_keys_graph)) == evaluate(self.config(two_keys_graph))
+        assert evaluate(**self.config(two_keys_graph)) == evaluate(**self.config(two_keys_graph))
 
     def test_fnr_one_tripwire_equals_no_defender(self, four_ways_graph):
         # with every alert suppressed the tripwire never acts, so its
@@ -90,17 +89,17 @@ class TestEvaluate:
 
     def test_counts_episodes_cut_at_the_step_cap(self, four_ways_graph, monkeypatch):
         config = self.config(four_ways_graph, attacker="dfs", defender="none", episodes=5)
-        assert [row.truncated for row in evaluate(config)] == [0, 0]
+        assert [row.truncated for row in evaluate(**config)] == [0, 0]
         monkeypatch.setattr(engine, "default_step_cap", lambda graph: 2)
-        for row in evaluate(config):
+        for row in evaluate(**config):
             assert row.truncated == 5
             assert row.max_len == 2
 
     def test_config_validation(self, toy_graph):
-        with pytest.raises(ValueError):
-            self.config(toy_graph, episodes=0)
-        with pytest.raises(ValueError):
-            self.config(toy_graph, seeds=())
+        with pytest.raises(ValueError, match="episodes"):
+            evaluate(**self.config(toy_graph, episodes=0))
+        with pytest.raises(ValueError, match="seeds"):
+            evaluate(**self.config(toy_graph, seeds=()))
 
 
 class TestPairedEvaluation:

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from attacksim.generate import GenConfig, generate
-from attacksim.graph import save_graph, validate
+from attacksim.graph import GraphFormatError, save_graph, validate
 
 from conftest import reachable_oracle
 
@@ -20,6 +22,16 @@ class TestGenConfig:
             GenConfig(num_attack_steps=20, seed=1, extra_parent_prob=-0.1)
         with pytest.raises(ValueError):
             GenConfig(num_attack_steps=20, seed=-1)
+
+    @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)])
+    def test_non_finite_ttc_range_rejected(self, bounds):
+        with pytest.raises(ValueError, match="ttc_mean_range"):
+            GenConfig(num_attack_steps=20, seed=1, ttc_mean_range=bounds)
+
+    def test_ttc_sum_beyond_float_range_rejected(self):
+        config = GenConfig(num_attack_steps=20, seed=1, ttc_mean_range=(1e308, 1e308))
+        with pytest.raises(GraphFormatError, match="the TTCs sum to inf"):
+            generate(config)
 
 
 class TestGenerate:

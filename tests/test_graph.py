@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -254,6 +255,13 @@ class TestRewardConfig:
             RewardConfig(defense_cost=0.0, flag_cost=1.0)
         with pytest.raises(ValueError):
             RewardConfig(defense_cost=1.0, flag_cost=-2.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_costs_rejected_naming_the_field(self, value):
+        with pytest.raises(ValueError, match="^defense_cost must be finite"):
+            RewardConfig(defense_cost=value, flag_cost=1.0)
+        with pytest.raises(ValueError, match="^flag_cost must be finite"):
+            RewardConfig(defense_cost=1.0, flag_cost=value)
 
 
 # JSON values, with NaN/Infinity and integers far outside the float range

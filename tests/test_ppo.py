@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -551,6 +553,18 @@ class TestPolicyFile:
         with pytest.raises(ValueError, match="malformed policy file.*w1"):
             load_policy(path)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected_naming_the_array(self, tmp_path, bad):
+        import json
+
+        path = tmp_path / "policy.json"
+        save_policy(zero_params(), path)
+        doc = json.loads(path.read_text())
+        doc["weights"]["bp"]["data"][1] = bad  # written as NaN / Infinity
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed policy file.*weight bp has a non-finite"):
+            load_policy(path)
+
 
 class TestHyperParamDefaults:
     def test_default_table_values(self):
@@ -572,6 +586,29 @@ class TestHyperParamDefaults:
     def test_out_of_range_counts_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             HyperParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lr", math.nan, "must be finite"),
+            ("k_kl", math.inf, "must be finite"),
+            ("vf_clip", -math.inf, "must be finite"),
+            ("gamma", 1.5, r"must lie in \[0, 1\]"),
+            ("gae_lambda", -0.1, r"must lie in \[0, 1\]"),
+            ("clip_eps", -1.0, "must be >= 0"),
+            ("lr", -1e-4, "must be >= 0"),
+            ("vf_clip", -1.0, "must be >= 0"),
+            ("k_vf", -1.0, "must be >= 0"),
+            ("k_s", -0.01, "must be >= 0"),
+            ("k_kl", -1.0, "must be >= 0"),
+        ],
+    )
+    def test_bad_float_knobs_rejected_naming_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} {message}"):
+            HyperParams(**{field: value})
+
+    def test_zero_knobs_stay_legal(self):
+        HyperParams(lr=0.0, clip_eps=0.0, vf_clip=0.0, k_vf=0.0, k_s=0.0, k_kl=0.0, gamma=0.0, gae_lambda=1.0)
 
     def test_network_shape_for_graph(self, four_ways_graph):
         params = init_params(
