@@ -44,8 +44,22 @@ class AttackerPolicy:
         raise NotImplementedError
 
 
-def _uniform_choice(rng: np.random.Generator, surface: set[str]) -> str:
-    options = sorted(surface)
+class _SortedSurface:
+    """`sorted(state.surface)`, re-sorted only when `state.surface_version`
+    has changed since the last call."""
+
+    def __init__(self):
+        self._version = None
+        self._options: list[str] = []
+
+    def __call__(self, state: SimState) -> list[str]:
+        if state.surface_version != self._version:
+            self._version = state.surface_version
+            self._options = sorted(state.surface)
+        return self._options
+
+
+def _uniform_choice(rng: np.random.Generator, options: list[str]) -> str:
     return options[int(rng.integers(len(options)))]
 
 
@@ -54,11 +68,12 @@ class RandomAttacker(AttackerPolicy):
 
     def reset(self, graph, state, rng):
         self._rng = rng
+        self._options = _SortedSurface()
 
     def select(self, state):
         if not state.surface:
             return None
-        return _uniform_choice(self._rng, state.surface)
+        return _uniform_choice(self._rng, self._options(state))
 
 
 class BreadthFirstAttacker(AttackerPolicy):
@@ -71,16 +86,21 @@ class BreadthFirstAttacker(AttackerPolicy):
         self._rng = rng
         self._queue: deque[str] = deque()
         self._queued: set[str] = set()
+        self._version = None
 
     def select(self, state):
         surface = state.surface
         if not surface:
             return None
-        fresh = sorted(surface - self._queued)
-        self._rng.shuffle(fresh)
-        for sid in fresh:
-            self._queue.append(sid)
-            self._queued.add(sid)
+        # every surface step is queued after a select, so only a changed
+        # surface can hold fresh ones (and shuffling none draws nothing)
+        if state.surface_version != self._version:
+            self._version = state.surface_version
+            fresh = sorted(surface - self._queued)
+            self._rng.shuffle(fresh)
+            for sid in fresh:
+                self._queue.append(sid)
+                self._queued.add(sid)
         # entries that left the surface (compromised or blocked) are dropped
         # lazily; a step that resurfaces later counts as a new discovery
         while self._queue and self._queue[0] not in surface:
@@ -98,16 +118,20 @@ class DepthFirstAttacker(AttackerPolicy):
         self._rng = rng
         self._stack: list[str] = []
         self._stacked: set[str] = set()
+        self._version = None
 
     def select(self, state):
         surface = state.surface
         if not surface:
             return None
-        fresh = sorted(surface - self._stacked)
-        self._rng.shuffle(fresh)
-        for sid in fresh:
-            self._stack.append(sid)
-            self._stacked.add(sid)
+        # as in breadth-first: fresh steps appear only on a surface change
+        if state.surface_version != self._version:
+            self._version = state.surface_version
+            fresh = sorted(surface - self._stacked)
+            self._rng.shuffle(fresh)
+            for sid in fresh:
+                self._stack.append(sid)
+                self._stacked.add(sid)
         while self._stack and self._stack[-1] not in surface:
             self._stacked.discard(self._stack.pop())
         return self._stack[-1]
@@ -134,31 +158,30 @@ def attainment_costs(
     cost = {
         sid: 0.0 if sid in compromised else math.inf for sid in graph.attack_ids
     }
-    blocked = {
-        sid
-        for sid in graph.attack_ids
-        if any(d in enabled for d in graph.defense_parents(sid))
-    }
+    # the steps a sweep can price, each with its own work: uncompromised,
+    # not blocked by an enabled defense, with attack parents
+    priced = [
+        (sid, parents, is_or, float(work_steps(remaining_ttc[sid])))
+        for sid, parents, is_or, defense_parents in graph.parent_table()
+        if sid not in compromised and enabled.isdisjoint(defense_parents) and parents
+    ]
+    inf = math.inf
+    get = cost.__getitem__
     changed = True
     while changed:
         changed = False
-        for step_obj in graph.attack_steps:
-            sid = step_obj.id
-            if sid in compromised or sid in blocked:
-                continue
-            parents = graph.attack_parents(sid)
-            if not parents:
-                continue
-            own = float(work_steps(remaining_ttc[sid]))
-            if step_obj.logic == "or":
-                best = min(cost[p] for p in parents)
-                if math.isinf(best):
+        for sid, parents, is_or, own in priced:
+            if is_or:
+                best = min(map(get, parents))
+                if best == inf:
                     continue
                 candidate = own + best
             else:
-                if any(math.isinf(cost[p]) for p in parents):
+                parent_costs = list(map(get, parents))
+                if inf in parent_costs:
                     continue
-                candidate = own + sum(cost[p] for p in parents if p not in compromised)
+                # compromised parents cost exactly 0.0, so they add nothing
+                candidate = own + sum(parent_costs)
             if candidate < cost[sid] - 1e-9:
                 cost[sid] = candidate
                 changed = True
@@ -178,12 +201,21 @@ class PathfinderAttacker(AttackerPolicy):
         self._target: str | None = None
         self._needed: set[str] = set()
         self._costs: dict[str, float] = {}
-        self._enabled_seen: frozenset[str] = frozenset(state.enabled)
+        self._options = _SortedSurface()
+        # the last choice taken from the plan and the surface version it
+        # was made at
+        self._choice: str | None = None
+        self._choice_version = None
         self._replan(state)
 
     def select(self, state):
         if not state.surface:
             return None
+        # Staleness, the compromised set and the surface all change only
+        # with a new surface version, so an unchanged version repeats the
+        # plan's last choice.
+        if state.surface_version == self._choice_version:
+            return self._choice
         if self._plan_stale(state):
             self._replan(state)
         choice = self._next_on_plan(state)
@@ -191,15 +223,20 @@ class PathfinderAttacker(AttackerPolicy):
             self._replan(state)
             choice = self._next_on_plan(state)
         if choice is None:
-            return _uniform_choice(self._rng, state.surface)
+            return _uniform_choice(self._rng, self._options(state))
+        self._choice, self._choice_version = choice, state.surface_version
         return choice
 
     def _plan_stale(self, state) -> bool:
         # With no flag reachable, only an enable can change that: compromise
         # only works steps that are already reachable, and captured flags
-        # only grow. So "no target" holds until state.enabled changes.
-        if frozenset(state.enabled) != self._enabled_seen:
-            return True
+        # only grow. So "no target" holds until state.enabled changes. The
+        # enabled bits are replaced on each enable and each sync_derived,
+        # so the set is compared only when they have been.
+        if state.enabled_bits is not self._enabled_bits:
+            self._enabled_bits = state.enabled_bits
+            if frozenset(state.enabled) != self._enabled_seen:
+                return True
         return self._target is not None and self._target in state.captured_flags
 
     def _next_on_plan(self, state) -> str | None:
@@ -214,6 +251,7 @@ class PathfinderAttacker(AttackerPolicy):
     def _replan(self, state) -> None:
         graph = self._graph
         self._enabled_seen = frozenset(state.enabled)
+        self._enabled_bits = state.enabled_bits
         self._costs = attainment_costs(
             graph, state.remaining_ttc, state.compromised, state.enabled
         )

@@ -20,8 +20,9 @@ from . import experiments, ppo
 from .attackers import canonical_kind, make_attacker
 from .defenders import DEFENDER_KINDS
 from .engine import NoiseConfig, write_csv, write_trajectory
-from .generate import GenConfig, generate
+from .generate import GenConfig, GenConfigError, generate
 from .graph import (
+    GraphFormatError,
     RewardConfig,
     bundled_graph,
     bundled_graph_names,
@@ -60,6 +61,24 @@ def _parse_list(text: str, convert, noun: str) -> tuple:
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     return _parse_list(text, int, "integer")
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        return _seed(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
+
+
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    return _parse_list(text, _seed, "non-negative integer")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -122,7 +141,7 @@ def _hp_from_args(args) -> ppo.HyperParams:
 
 def _add_experiment_flags(parser):
     parser.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
-    parser.add_argument("--seeds", type=_parse_ints, default=experiments.DESK_SEEDS)
+    parser.add_argument("--seeds", type=_parse_seeds, default=experiments.DESK_SEEDS)
     parser.add_argument("--iterations", type=int, default=experiments.DESK_ITERATIONS)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out-dir", required=True)
@@ -142,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a random attack graph")
     p.add_argument("--size", type=int, required=True, help="number of attack steps (multiple of 20)")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_parse_seed, default=1)
     p.add_argument("--out", required=True, help="output graph JSON path")
     p.add_argument("--ttc-min", type=float, default=1.0)
     p.add_argument("--ttc-max", type=float, default=10.0)
@@ -159,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_noise_flags(p)
     _add_reward_flags(p)
     p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_parse_seed, default=1)
     p.add_argument("--out", help="write the per-episode summary CSV here")
     p.add_argument("--record", help="write per-step trajectories (one CSV per episode, suffixed by index)")
     p.add_argument("--json", action="store_true")
@@ -170,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_noise_flags(p)
     _add_reward_flags(p)
     p.add_argument("--iterations", type=int, default=ppo.HyperParams().iterations)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_parse_seed, default=1)
     p.add_argument("--out", required=True, help="policy file path")
     p.add_argument("--curve", help="learning-curve CSV path")
     _add_hyperparam_flags(p)
@@ -185,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_noise_flags(p)
     _add_reward_flags(p)
     p.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
-    p.add_argument("--seeds", type=_parse_ints, default=experiments.DESK_SEEDS)
+    p.add_argument("--seeds", type=_parse_seeds, default=experiments.DESK_SEEDS)
     p.add_argument("--out", help="metrics CSV path")
     p.add_argument("--json", action="store_true")
 
@@ -208,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="graph-size scaling study")
     p.add_argument("--sizes", type=_parse_ints, default="20,40,60,80", help="comma-separated graph sizes")
-    p.add_argument("--graph-seed", type=int, default=1, help="seed for graph generation")
+    p.add_argument("--graph-seed", type=_parse_seed, default=1, help="seed for graph generation")
     _add_noise_flags(p, default=0.1)
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="dfs")
     _add_experiment_flags(p)
@@ -216,15 +235,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the generate flags that set each GenConfig field
+_GEN_FLAGS = {
+    "num_attack_steps": ("--size",),
+    "seed": ("--seed",),
+    "ttc_mean_range": ("--ttc-min", "--ttc-max"),
+    "and_fraction": ("--and-fraction",),
+    "extra_parent_prob": ("--extra-parent-prob",),
+}
+
+
+def _gen_flags(args, *fields: str) -> str:
+    flags = (flag for field in fields for flag in _GEN_FLAGS[field])
+    return ", ".join(f"{flag} {getattr(args, flag[2:].replace('-', '_'))}" for flag in flags)
+
+
 def _cmd_generate(args) -> int:
-    config = GenConfig(
-        num_attack_steps=args.size,
-        seed=args.seed,
-        ttc_mean_range=(args.ttc_min, args.ttc_max),
-        and_fraction=args.and_fraction,
-        extra_parent_prob=args.extra_parent_prob,
-    )
-    graph = generate(config)
+    try:
+        graph = generate(
+            GenConfig(
+                num_attack_steps=args.size,
+                seed=args.seed,
+                ttc_mean_range=(args.ttc_min, args.ttc_max),
+                and_fraction=args.and_fraction,
+                extra_parent_prob=args.extra_parent_prob,
+            )
+        )
+    except GenConfigError as exc:
+        raise ValueError(f"{_gen_flags(args, exc.field)}: {exc}") from None
+    except GraphFormatError as exc:
+        # a generated graph can fail only the TTC-total check
+        raise ValueError(f"{_gen_flags(args, 'ttc_mean_range', 'num_attack_steps')}: {exc}") from None
     save_graph_file(graph, args.out)
     summary = {
         "out": args.out,

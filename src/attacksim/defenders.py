@@ -4,6 +4,11 @@ A defender selects one currently disabled defense step per time-step, or
 no-op (None), from the observation alone: a defense bit of 0 is a legal
 enable. Returning anything else is an engine contract violation.
 
+What a defender derives from the defense bits is rebuilt only when
+`observation.defense_bits` is a different array: the engine hands out one
+read-only array per enabled set and replaces it on each enable, so the
+bits of an array never change while it is in use.
+
 `learned_select` is the one masked-policy sampler: evaluation uses it through
 `LearnedDefender`, and PPO rollouts through `RecordingDefender`, which also
 keeps each decision for the update.
@@ -23,6 +28,9 @@ DEFENDER_KINDS = ("none", "random", "tripwire", "learned")
 
 # the legal-mask entry of the trailing no-op action
 _NOOP_LEGAL = np.ones(1, dtype=bool)
+
+# (defense bits, legal mask) of the last learned_select call
+_last_legal: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
 
 
 def make_defender(kind: str, params: "ppo.PolicyParams | None" = None, mode: str = "sample"):
@@ -74,10 +82,14 @@ class RandomDefender(DefenderPolicy):
     def reset(self, graph, rng):
         self._defense_ids = graph.defense_ids
         self._rng = rng
+        self._bits = None
+        self._options: list[str | None] = []
 
     def select(self, observation):
-        options = [self._defense_ids[i] for i in _disabled_indices(observation)] + [None]
-        return options[int(self._rng.integers(len(options)))]
+        if observation.defense_bits is not self._bits:
+            self._bits = observation.defense_bits
+            self._options = [self._defense_ids[i] for i in _disabled_indices(observation)] + [None]
+        return self._options[int(self._rng.integers(len(self._options)))]
 
 
 class TripwireDefender(DefenderPolicy):
@@ -93,9 +105,14 @@ class TripwireDefender(DefenderPolicy):
             np.array([graph.attack_index[c] for c in graph.children(d)], dtype=int)
             for d in graph.defense_ids
         ]
+        self._bits = None
+        self._disabled: list[int] = []
 
     def select(self, observation):
-        for i in _disabled_indices(observation):
+        if observation.defense_bits is not self._bits:
+            self._bits = observation.defense_bits
+            self._disabled = _disabled_indices(observation)
+        for i in self._disabled:
             idx = self._child_indices[i]
             if idx.size and observation.attack_bits[idx].any():
                 return self._defense_ids[i]
@@ -124,9 +141,15 @@ def learned_select(
     defenses (defense bit 1) get zero probability and the trailing no-op is
     always legal; `sample` draws from the masked categorical, `greedy`
     takes the argmax (a legal action: the illegal ones have probability 0)."""
+    global _last_legal
     x = observation.vector()
     logits, value = ppo.forward(params, x)
-    legal = np.concatenate((observation.defense_bits == 0, _NOOP_LEGAL))
+    bits, legal = _last_legal
+    if observation.defense_bits is not bits:
+        bits = observation.defense_bits
+        legal = np.concatenate((bits == 0, _NOOP_LEGAL))
+        legal.flags.writeable = False
+        _last_legal = (bits, legal)
     probs, logp_all = ppo.masked_log_softmax(logits, legal)
     if mode == "greedy":
         action = int(probs.argmax())

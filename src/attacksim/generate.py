@@ -18,6 +18,15 @@ from .graph import AttackGraph, AttackStep, DefenseStep, check_ttc_total
 FLAG_INTERVAL = 20  # one flag (and one defense) per 20 attack steps
 
 
+class GenConfigError(ValueError):
+    """A GenConfig field out of range; `field` names it, so a caller can
+    report the input that set it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class GenConfig:
     num_attack_steps: int
@@ -29,18 +38,19 @@ class GenConfig:
     def __post_init__(self):
         n = self.num_attack_steps
         if n < FLAG_INTERVAL or n % FLAG_INTERVAL != 0:
-            raise ValueError(
-                f"num_attack_steps must be a positive multiple of {FLAG_INTERVAL}, got {n}"
+            raise GenConfigError(
+                "num_attack_steps",
+                f"num_attack_steps must be a positive multiple of {FLAG_INTERVAL}, got {n}",
             )
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise GenConfigError("seed", f"seed must be a 64-bit unsigned integer, got {self.seed}")
         lo, hi = self.ttc_mean_range
         if not (0 <= lo <= hi < math.inf):
-            raise ValueError(f"invalid ttc_mean_range {self.ttc_mean_range}")
+            raise GenConfigError("ttc_mean_range", f"invalid ttc_mean_range {self.ttc_mean_range}")
         for name in ("and_fraction", "extra_parent_prob"):
             p = getattr(self, name)
             if not 0 <= p <= 1:
-                raise ValueError(f"{name} must be a probability, got {p}")
+                raise GenConfigError(name, f"{name} must be a probability, got {p}")
 
 
 def generate(config: GenConfig) -> AttackGraph:

@@ -129,6 +129,19 @@ class AttackGraph:
             object.__setattr__(self, "_violations", cached)
         return cached
 
+    def parent_table(self) -> tuple[tuple[str, tuple[str, ...], bool, tuple[str, ...]], ...]:
+        """(id, attack parents, OR flag, defense parents) of every attack
+        step in index order, built on first use and kept like
+        `violations()`."""
+        cached = self.__dict__.get("_parent_table")
+        if cached is None:
+            cached = tuple(
+                (s.id, self._attack_parents[s.id], s.logic == "or", self._defense_parents[s.id])
+                for s in self.attack_steps
+            )
+            object.__setattr__(self, "_parent_table", cached)
+        return cached
+
 
 def validate(graph: AttackGraph) -> list[str]:
     """Return every invariant violation, in deterministic (rule, id) order.

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from attacksim.attackers import work_steps
 from attacksim.graph import AttackGraph, AttackStep, DefenseStep, bundled_graph
 
 
@@ -103,6 +106,48 @@ def masked_log_softmax_oracle(logits, legal):
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.where(legal, shifted - np.log(total), -np.inf)
     return probs, logp
+
+
+def attainment_costs_oracle(
+    graph: AttackGraph,
+    remaining_ttc: dict[str, float],
+    compromised: set[str],
+    enabled: set[str],
+) -> dict[str, float]:
+    """`attackers.attainment_costs` in its first form: every sweep reads the
+    graph accessors and prices each step's own work again."""
+    cost = {
+        sid: 0.0 if sid in compromised else math.inf for sid in graph.attack_ids
+    }
+    blocked = {
+        sid
+        for sid in graph.attack_ids
+        if any(d in enabled for d in graph.defense_parents(sid))
+    }
+    changed = True
+    while changed:
+        changed = False
+        for step_obj in graph.attack_steps:
+            sid = step_obj.id
+            if sid in compromised or sid in blocked:
+                continue
+            parents = graph.attack_parents(sid)
+            if not parents:
+                continue
+            own = float(work_steps(remaining_ttc[sid]))
+            if step_obj.logic == "or":
+                best = min(cost[p] for p in parents)
+                if math.isinf(best):
+                    continue
+                candidate = own + best
+            else:
+                if any(math.isinf(cost[p]) for p in parents):
+                    continue
+                candidate = own + sum(cost[p] for p in parents if p not in compromised)
+            if candidate < cost[sid] - 1e-9:
+                cost[sid] = candidate
+                changed = True
+    return cost
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attacksim.graph import (
     AttackGraph,
@@ -16,7 +17,9 @@ from attacksim.graph import (
 from attacksim.engine import NoiseConfig, init_episode, observe, run_episode, step, sync_derived
 from attacksim import attackers as attackers_module
 from attacksim.attackers import (
+    ATTACKER_KINDS,
     MixtureAttacker,
+    _SortedSurface,
     attainment_costs,
     canonical_kind,
     make_attacker,
@@ -24,7 +27,7 @@ from attacksim.attackers import (
 )
 from attacksim.defenders import make_defender
 
-from conftest import build_random_graph
+from conftest import attainment_costs_oracle, build_random_graph
 
 NO_NOISE = NoiseConfig(0.0, 0.0)
 UNIT_REWARDS = RewardConfig(defense_cost=1.0, flag_cost=1.0)
@@ -316,6 +319,23 @@ class TestAttainmentCosts:
         costs = attainment_costs(g, state.remaining_ttc, state.compromised, {"d"})
         assert math.isinf(costs["a"])
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_first_form_oracle(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = build_random_graph(rng)
+        ids = g.attack_ids
+        compromised = {g.entry_id} | data.draw(st.sets(st.sampled_from(ids)))
+        enabled = data.draw(st.sets(st.sampled_from(g.defense_ids))) if g.defense_ids else set()
+        # a defense can uncompromise a step whose TTC already reached 0 or below
+        remaining = {
+            sid: data.draw(st.floats(-2.0, 40.0, allow_nan=False)) for sid in ids
+        }
+        costs = attainment_costs(g, remaining, compromised, enabled)
+        oracle = attainment_costs_oracle(g, remaining, compromised, enabled)
+        assert list(costs) == list(oracle)
+        assert costs == oracle
+
 
 def diamond_graph(cost_left, cost_right):
     steps = (
@@ -546,3 +566,51 @@ class TestActionsAlwaysOnSurface:
                 action = attacker.select(state)
                 assert action in surface
                 step(state, action, defender.select(observe(state)))
+
+
+def _forget_cached_views(attacker):
+    """Make the next select rebuild every view it derives from the state,
+    as the attackers did before they kept any."""
+    attacker = getattr(attacker, "_active", attacker)
+    for name in ("_version", "_choice_version", "_enabled_bits"):
+        if hasattr(attacker, name):
+            setattr(attacker, name, None)
+    if hasattr(attacker, "_options"):
+        attacker._options = _SortedSurface()
+
+
+class TestCachedViews:
+    @pytest.mark.parametrize("kind", ATTACKER_KINDS)
+    def test_reused_agent_matches_one_that_rebuilds_its_views(self, kind):
+        # one instance across episodes, as the benchmark and the experiments
+        # reuse theirs; its twin rebuilds every view before each select
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        cached, rebuilt = make_attacker(kind), make_attacker(kind)
+        defender = make_defender("random")
+        noise = NoiseConfig(0.2, 0.2)
+        for episode in range(40):
+            g = build_random_graph(rng, max_attack=14, ttc_range=(0.5, 3.0))
+            state = init_episode(g, noise, UNIT_REWARDS, seed=episode)
+            cached.reset(g, state, np.random.default_rng(episode))
+            rebuilt.reset(g, state, np.random.default_rng(episode))
+            defender.reset(g, np.random.default_rng(episode))
+            edit_at = int(rng.integers(1, 6))
+            for t in range(300):
+                disabled = [d for d in g.defense_ids if d not in state.enabled]
+                if t == edit_at and disabled:
+                    # a direct edit; sync_derived must make it visible
+                    state.enabled.add(disabled[-1])
+                    sync_derived(state)
+                _forget_cached_views(rebuilt)
+                action = cached.select(state)
+                assert rebuilt.select(state) == action
+                active = getattr(cached, "_active", cached)
+                if hasattr(active, "_options"):
+                    assert active._options(state) == sorted(state.surface)
+                for name in ("_queued", "_stacked"):
+                    if hasattr(active, name):
+                        assert state.surface <= getattr(active, name)
+                if action is None:
+                    break
+                if step(state, action, defender.select(observe(state))).done:
+                    break

@@ -51,6 +51,55 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--ttc-max", "inf", "--ttc-min 1.0, --ttc-max inf: "),
+            ("--ttc-min", "-1", "--ttc-min -1.0, --ttc-max 10.0: "),
+            ("--ttc-max", "1e308", "--ttc-min 1.0, --ttc-max 1e+308, --size 20: "),
+            ("--size", "30", "--size 30: "),
+            ("--and-fraction", "1.5", "--and-fraction 1.5: "),
+            ("--extra-parent-prob", "-0.1", "--extra-parent-prob -0.1: "),
+        ],
+        ids=["ttc-max-inf", "ttc-min-negative", "ttc-sum-inf", "size", "and-fraction", "extra-parent-prob"],
+    )
+    def test_config_errors_name_the_flags(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "g.json"
+        argv = ["generate", "--size", "20", flag, value, "--out", str(out)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"attacksim: error: {named}")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["generate", "--size", "20", "--out", "g.json"], "--seed", "-1"),
+        (["simulate", "--graph", "toy"], "--seed", "-1"),
+        (["train", "--graph", "toy", "--out", "p.json"], "--seed", "-5"),
+        (["evaluate", "--graph", "toy"], "--seeds", "-1,2"),
+        (["sweep", "--graph", "toy", "--out-dir", "o"], "--seeds", "1,-2"),
+        (["attacker-matrix", "--graph", "toy", "--out-dir", "o"], "--seeds", "-1"),
+        (["scaling", "--out-dir", "o"], "--seeds", "-3"),
+        (["scaling", "--out-dir", "o"], "--graph-seed", "-1"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_negative_seed_rejected_at_parse_time(tmp_path, monkeypatch, capsys, argv, flag, value):
+    monkeypatch.chdir(tmp_path)
+    # argparse takes "-1" as a value but "-1,2" as an unknown option
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ([f"{flag}={value}"] if "," in value else [flag, value]))
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"attacksim {argv[0]}: error: argument {flag}: ")
+    assert repr(value) in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulate:
     def test_episode_summary_rows(self, tmp_path, capsys):
         out = tmp_path / "episodes.csv"

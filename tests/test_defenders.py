@@ -8,12 +8,24 @@ from attacksim.graph import (
     AttackGraph,
     AttackStep,
     DefenseStep,
+    RewardConfig,
     default_rewards,
 )
-from attacksim.engine import NoiseConfig, Observation, init_episode, observe, run_episode, step
+from attacksim.engine import (
+    NoiseConfig,
+    Observation,
+    init_episode,
+    observe,
+    run_episode,
+    step,
+    sync_derived,
+)
 from attacksim.attackers import make_attacker
-from attacksim.defenders import make_defender
+from attacksim.defenders import _disabled_indices, make_defender
+from attacksim import defenders as defenders_module
 from attacksim import ppo
+
+from conftest import build_random_graph
 
 NO_NOISE = NoiseConfig(0.0, 0.0)
 
@@ -215,3 +227,50 @@ class TestMaskRespected:
             for _ in range(5):
                 choice = defender.select(obs)
                 assert choice is None or defense_bits[g.defense_index[choice]] == 0
+
+
+class TestCachedViews:
+    @pytest.mark.parametrize("kind", ["random", "tripwire", "learned"])
+    def test_reused_defender_matches_one_that_rebuilds_its_views(self, kind):
+        # one instance across episodes, as the benchmark and the experiments
+        # reuse theirs; its twin rebuilds every view before each select
+        rng = np.random.default_rng(len(kind))
+        cached, rebuilt = (
+            make_defender(kind, params=ppo.init_params(1, 1, rng)) for _ in range(2)
+        )
+        attacker = make_attacker("random")
+        for episode in range(30):
+            g = build_random_graph(rng, max_attack=14, max_defense=5)
+            if kind == "learned":
+                params = ppo.init_params(g.num_attack_steps, g.num_defense_steps, rng)
+                cached.params = rebuilt.params = params
+            state = init_episode(g, NoiseConfig(0.3, 0.1), RewardConfig(1.0, 1.0), seed=episode)
+            cached.reset(g, np.random.default_rng(episode))
+            rebuilt.reset(g, np.random.default_rng(episode))
+            attacker.reset(g, state, np.random.default_rng(episode))
+            obs = observe(state)
+            edit_at = int(rng.integers(1, 6))
+            for t in range(300):
+                disabled = [d for d in g.defense_ids if d not in state.enabled]
+                if t == edit_at and disabled:
+                    # a direct edit; sync_derived must make it visible
+                    state.enabled.add(disabled[0])
+                    sync_derived(state)
+                    obs = observe(state)
+                choice = cached.select(obs)
+                fresh = _disabled_indices(obs)
+                if kind == "tripwire":
+                    assert cached._disabled == fresh
+                elif kind == "random":
+                    assert cached._options == [g.defense_ids[i] for i in fresh] + [None]
+                else:
+                    bits, legal = defenders_module._last_legal
+                    assert bits is obs.defense_bits
+                    assert legal.tolist() == [i in fresh for i in range(g.num_defense_steps)] + [True]
+                    defenders_module._last_legal = (None, None)
+                rebuilt._bits = None
+                assert rebuilt.select(obs) == choice
+                row = step(state, attacker.select(state), choice)
+                if row.done:
+                    break
+                obs = row.obs

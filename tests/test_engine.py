@@ -14,6 +14,7 @@ from attacksim.graph import (
     default_rewards,
 )
 from attacksim.engine import (
+    NOISE_ROWS,
     NoiseConfig,
     episode_streams,
     init_episode,
@@ -168,6 +169,31 @@ class TestObserve:
         for bits in (first.obs.defense_bits, third.obs.defense_bits, state.enabled_bits):
             with pytest.raises(ValueError, match="read-only"):
                 bits[0] = 1
+
+    def test_noise_blocks_draw_what_row_draws_would(self):
+        # across two block boundaries and into a partial third block, with
+        # sync_derived calls (one after a noise change) in between
+        rng = np.random.default_rng(2)
+        g = build_random_graph(rng, max_attack=12)
+        while g.num_attack_steps < 3:
+            g = build_random_graph(rng, max_attack=12)
+        state = init_episode(g, NoiseConfig(fpr=0.3, fnr=0.2), UNIT_REWARDS, np.random.default_rng(77))
+        twin = np.random.default_rng(77)
+        sample_ttc(g, twin)  # the draws init_episode made before any noise
+        edits = {NOISE_ROWS - 1: "compromise", NOISE_ROWS: "sync", NOISE_ROWS + 3: "noise"}
+        for call in range(2 * NOISE_ROWS + NOISE_ROWS // 2):
+            edit = edits.get(call)
+            if edit == "compromise":
+                state.compromised.add(g.attack_ids[-1])
+            elif edit == "noise":
+                state.noise = NoiseConfig(fpr=0.05, fnr=0.6)
+            if edit:
+                sync_derived(state)
+            expected = (twin.random(g.num_attack_steps) < state.thresholds) ^ state.compromised_bits
+            obs = observe(state)
+            assert obs.attack_bits.dtype == expected.dtype
+            assert np.array_equal(obs.attack_bits, expected), call
+        assert state.noise_row == NOISE_ROWS // 2
 
     def test_empirical_rates_match_configured(self):
         # 200 attack steps, half compromised; 1000 observations give 1e5
