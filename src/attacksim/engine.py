@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .graph import AttackGraph, RewardConfig, attack_surface, workable
+from .graph import AttackGraph, RewardConfig, attack_surface, check_ttc_total, workable
 
 # stream contexts keep evaluation, training and ad-hoc rollouts on disjoint
 # RNG streams even when they share a master seed
@@ -80,10 +81,10 @@ class SimState:
     have had: each enable, each compromise and each `sync_derived` adds
     one, and agents rebuild what they derive from the surface only when it
     moved (their `reset` forgets it, as it starts again in each episode).
-    `sync_derived` builds the mirrors and `step()` keeps them current; code
-    that assigns or edits `compromised`, `enabled` or `noise` directly must
-    call `sync_derived(state)` before the next agent `select`, `observe` or
-    `step`.
+    `init_episode` copies the mirrors from the graph's entry snapshot and
+    `step()` keeps them current; code that assigns or edits `compromised`,
+    `enabled` or `noise` directly must call `sync_derived(state)`, the
+    full-scan rebuild, before the next agent `select`, `observe` or `step`.
 
     `noise_block` holds the IDS uniforms of the next observations, drawn
     from `rng` `NOISE_ROWS` rows at a time; `noise_row` is the next unused
@@ -144,28 +145,97 @@ class EpisodeRecord:
 TRAJECTORY_COLUMNS = ("t", "attacker_action", "defender_action", "reward", "done", "observation")
 
 
+class EntrySnapshot(NamedTuple):
+    """What every episode on one graph starts from: the entry-only state's
+    surface and read-only bit vectors, plus the TTC means (read-only, in
+    index order) and the step cap. `init_episode` copies the surface and
+    the compromised bits and shares the all-zero enabled bits, which stay
+    read-only until the first enable replaces them."""
+
+    surface: frozenset[str]
+    compromised_bits: np.ndarray
+    enabled_bits: np.ndarray
+    ttc_means: np.ndarray
+    step_cap: int
+
+
+def _check_valid(graph: AttackGraph) -> None:
+    violations = graph.violations()
+    if violations:
+        raise ValueError(f"invalid graph: {list(violations)}")
+
+
+def _build_entry_snapshot(graph: AttackGraph) -> EntrySnapshot:
+    """Run `sync_derived` once on an entry-only state (it reads neither
+    rewards nor rng, and the snapshot keeps nothing noise-dependent)."""
+    _check_valid(graph)
+    check_ttc_total(graph)
+    state = SimState(
+        graph=graph,
+        noise=NoiseConfig(fpr=0.0, fnr=0.0),
+        rewards=None,
+        t=0,
+        remaining_ttc={},
+        compromised={graph.entry_id},
+        enabled=set(),
+        captured_flags=set(),
+        rng=None,
+    )
+    sync_derived(state)
+    state.compromised_bits.flags.writeable = False
+    ttc_means = np.array([s.ttc_mean for s in graph.attack_steps], dtype=np.float64)
+    ttc_means.flags.writeable = False
+    return EntrySnapshot(
+        frozenset(state.surface),
+        state.compromised_bits,
+        state.enabled_bits,
+        ttc_means,
+        int(math.ceil(10 * (graph.num_attack_steps + graph.total_ttc()))),
+    )
+
+
+def _entry_snapshot(graph: AttackGraph) -> EntrySnapshot:
+    return graph.memo("entry_snapshot", _build_entry_snapshot)
+
+
+def _key_words(key) -> np.ndarray:
+    """The uint32 words `SeedSequence` makes of a tuple of non-negative
+    ints: each int's little-endian 32-bit words, at least one per int."""
+    words = []
+    for n in key:
+        n = int(n)
+        if n < 0:
+            raise ValueError(f"expected non-negative integer, got {n}")
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+        while n:
+            words.append(n & 0xFFFFFFFF)
+            n >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
 def episode_streams(
     seed: int, episode: int, context: int = CONTEXT_EVAL
 ) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
     """Independent (environment, attacker, defender) generators for one
     episode, derived from (seed, context, episode index) so parallel and
-    serial execution produce identical per-episode results."""
-    root = np.random.SeedSequence((int(seed), int(context), int(episode)))
-    env_ss, attacker_ss, defender_ss = root.spawn(3)
+    serial execution produce identical per-episode results. They are the
+    three children `SeedSequence((seed, context, episode)).spawn(3)`
+    gives, built directly from the key's 32-bit words."""
+    key = _key_words((seed, context, episode))
     return (
-        np.random.default_rng(env_ss),
-        np.random.default_rng(attacker_ss),
-        np.random.default_rng(defender_ss),
+        np.random.default_rng(np.random.SeedSequence(key, spawn_key=(0,))),
+        np.random.default_rng(np.random.SeedSequence(key, spawn_key=(1,))),
+        np.random.default_rng(np.random.SeedSequence(key, spawn_key=(2,))),
     )
 
 
 def sample_ttc(graph: AttackGraph, rng: np.random.Generator) -> dict[str, float]:
     """Per-step time-to-compromise draws: exponential with the step's mean,
-    except steps with mean 0 which always sample exactly 0."""
-    means = np.array([s.ttc_mean for s in graph.attack_steps], dtype=np.float64)
-    draws = rng.exponential(scale=np.where(means > 0, means, 1.0))
-    draws = np.where(means > 0, draws, 0.0)
-    return {s.id: float(draws[i]) for i, s in enumerate(graph.attack_steps)}
+    except steps with mean 0 which always sample exactly +0.0. One
+    standard exponential per step, scaled by its mean."""
+    means = _entry_snapshot(graph).ttc_means
+    return dict(zip(graph.attack_ids, (rng.standard_exponential(means.size) * means).tolist()))
 
 
 def init_episode(
@@ -178,14 +248,16 @@ def init_episode(
 ) -> SimState:
     """Fresh episode state: only the entry step compromised, no defenses
     enabled, TTCs sampled. `seed` may be a master seed (the environment
-    stream is derived from it) or an already-derived Generator."""
-    violations = graph.violations()
-    if violations:
-        raise ValueError(f"invalid graph: {list(violations)}")
+    stream is derived from it) or an already-derived Generator. The
+    derived fields are copied from the graph's entry snapshot, built on
+    the graph's first episode; they equal what `sync_derived` would
+    rebuild, at surface version 1."""
+    _check_valid(graph)
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = episode_streams(seed, episode, context)[0]
+    entry = _entry_snapshot(graph)
     state = SimState(
         graph=graph,
         noise=noise,
@@ -197,17 +269,27 @@ def init_episode(
         captured_flags=set(),
         rng=rng,
     )
-    sync_derived(state)
+    state.surface = set(entry.surface)
+    state.surface_version = 1
+    state.compromised_bits = entry.compromised_bits.copy()
+    state.enabled_bits = entry.enabled_bits
+    state.thresholds = _thresholds(state.compromised_bits, noise)
     return state
+
+
+def _thresholds(compromised_bits: np.ndarray, noise: NoiseConfig) -> np.ndarray:
+    """Per attack step, the IDS error rate its truth bit selects."""
+    return np.where(compromised_bits, noise.fnr, noise.fpr).astype(np.float64, copy=False)
 
 
 def sync_derived(state: SimState) -> None:
     """Rebuild every field mirrored from `state.compromised`,
     `state.enabled` and `state.noise` (the surface, a new surface version,
-    both bit vectors and the IDS thresholds) with full scans. The noise
-    block is left as it is. Raises ValueError on ids the graph does not
-    know."""
-    graph, noise = state.graph, state.noise
+    both bit vectors and the IDS thresholds) with full scans: the rebuild
+    after direct edits, and the rule the entry snapshot is built by. The
+    noise block is left as it is. Raises ValueError on ids the graph does
+    not know."""
+    graph = state.graph
     state.surface = attack_surface(graph, state.compromised, state.enabled)
     state.surface_version += 1
     state.compromised_bits = np.fromiter(
@@ -221,7 +303,7 @@ def sync_derived(state: SimState) -> None:
         count=graph.num_defense_steps,
     )
     state.enabled_bits.flags.writeable = False
-    state.thresholds = np.where(state.compromised_bits, noise.fnr, noise.fpr).astype(np.float64)
+    state.thresholds = _thresholds(state.compromised_bits, state.noise)
 
 
 def observe(state: SimState) -> Observation:
@@ -361,8 +443,9 @@ def min_reward_bound(graph: AttackGraph, rewards: RewardConfig, episode_len: int
 
 def default_step_cap(graph: AttackGraph) -> int:
     """Hard episode cap guarding against pathological configs; generously
-    above the worst-case termination bound for sane graphs."""
-    return int(math.ceil(10 * (graph.num_attack_steps + graph.total_ttc())))
+    above the worst-case termination bound for sane graphs:
+    ceil(10 * (|A| + total TTC)), kept in the graph's entry snapshot."""
+    return _entry_snapshot(graph).step_cap
 
 
 def run_episode(
@@ -380,8 +463,11 @@ def run_episode(
 
     Deterministic for a fixed (seed, episode, context) and deterministic
     policies: the environment, attacker and defender draw from independent
-    derived streams.
+    derived streams. `max_steps` (default `default_step_cap(graph)`)
+    must be at least 1.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     env_rng, attacker_rng, defender_rng = episode_streams(seed, episode, context)
     state = init_episode(graph, noise, rewards, env_rng)
     attacker.reset(graph, state, attacker_rng)

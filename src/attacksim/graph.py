@@ -96,6 +96,7 @@ class AttackGraph:
 
         entries = [s.id for s in self.attack_steps if s.is_entry]
         set_(self, "entry_id", entries[0] if len(entries) == 1 else None)
+        set_(self, "_memo", {})
 
     @property
     def num_attack_steps(self) -> int:
@@ -120,27 +121,38 @@ class AttackGraph:
     def total_ttc(self) -> float:
         return sum(s.ttc_mean for s in self.attack_steps)
 
+    def memo(self, key: str, build):
+        """`build(self)`, computed on the first call with `key` and kept:
+        the graph is immutable, so nothing derived from it goes stale.
+        Kept values are left out of pickles and copies, which build their
+        own on first use."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build(self)
+        return value
+
+    def __getstate__(self):
+        return {**self.__dict__, "_memo": {}}
+
     def violations(self) -> tuple[str, ...]:
-        """`validate(self)`, computed on first use and kept: the graph is
-        immutable, so its violations never change."""
-        cached = self.__dict__.get("_violations")
-        if cached is None:
-            cached = tuple(validate(self))
-            object.__setattr__(self, "_violations", cached)
-        return cached
+        """`validate(self)`, kept by `memo`."""
+        return self.memo("violations", _violation_tuple)
 
     def parent_table(self) -> tuple[tuple[str, tuple[str, ...], bool, tuple[str, ...]], ...]:
         """(id, attack parents, OR flag, defense parents) of every attack
-        step in index order, built on first use and kept like
-        `violations()`."""
-        cached = self.__dict__.get("_parent_table")
-        if cached is None:
-            cached = tuple(
-                (s.id, self._attack_parents[s.id], s.logic == "or", self._defense_parents[s.id])
-                for s in self.attack_steps
-            )
-            object.__setattr__(self, "_parent_table", cached)
-        return cached
+        step in index order, kept by `memo`."""
+        return self.memo("parent_table", _parent_table)
+
+
+def _violation_tuple(graph: AttackGraph) -> tuple[str, ...]:
+    return tuple(validate(graph))
+
+
+def _parent_table(graph: AttackGraph):
+    return tuple(
+        (s.id, graph._attack_parents[s.id], s.logic == "or", graph._defense_parents[s.id])
+        for s in graph.attack_steps
+    )
 
 
 def validate(graph: AttackGraph) -> list[str]:

@@ -278,14 +278,22 @@ def ppo_loss(params: PolicyParams, batch: TrajectoryBatch, hp: HyperParams):
 
 def ppo_loss_and_grads(params: PolicyParams, batch: TrajectoryBatch, hp: HyperParams):
     """Loss, diagnostics and hand-backpropagated gradients for every
-    parameter array."""
+    parameter array.
+
+    Both clipped terms are min(unclipped, clipped), and at their kink,
+    where the two are equal, the gradient is the unclipped side's: the
+    policy term at a ratio of exactly 1 + clip_eps (advantage > 0) or
+    1 - clip_eps (advantage < 0), the value term at a squared error of
+    exactly vf_clip. That is the one-sided derivative from inside the
+    clip range."""
     loss, diagnostics, internals = _loss_pieces(params, batch, hp)
     x, h1, h2, values, probs, logp_all, ratio, unclipped, clipped = internals
     n = len(batch)
     rows = np.arange(n)
     adv = batch.advantages
 
-    # policy term: gradient flows only where the unclipped branch is active
+    # policy term: gradient flows where the unclipped branch is the min,
+    # ties included
     active = unclipped <= clipped
     g_pol = np.where(active, adv * ratio, 0.0) * (-1.0 / n)
     onehot = np.zeros_like(probs)
@@ -302,9 +310,9 @@ def ppo_loss_and_grads(params: PolicyParams, batch: TrajectoryBatch, hp: HyperPa
     if hp.k_kl != 0.0:
         dlogits += (hp.k_kl / n) * (probs - batch.probs_old)
 
-    # clipped value loss
+    # clipped value loss: gradient flows where verr is the min, ties included
     verr = (values - batch.returns) ** 2
-    dvalues = np.where(verr < hp.vf_clip, 2.0 * (values - batch.returns), 0.0) * (
+    dvalues = np.where(verr <= hp.vf_clip, 2.0 * (values - batch.returns), 0.0) * (
         hp.k_vf / n
     )
 

@@ -108,6 +108,22 @@ def masked_log_softmax_oracle(logits, legal):
     return probs, logp
 
 
+def episode_streams_oracle(seed: int, episode: int, context: int):
+    """`engine.episode_streams` in its first form: a root SeedSequence of
+    (seed, context, episode) and its spawn(3) children."""
+    root = np.random.SeedSequence((int(seed), int(context), int(episode)))
+    return tuple(np.random.default_rng(child) for child in root.spawn(3))
+
+
+def sample_ttc_oracle(graph: AttackGraph, rng: np.random.Generator) -> dict[str, float]:
+    """`engine.sample_ttc` in its first form: exponential draws with the
+    zero means replaced by scale 1, then masked back to 0.0."""
+    means = np.array([s.ttc_mean for s in graph.attack_steps], dtype=np.float64)
+    draws = rng.exponential(scale=np.where(means > 0, means, 1.0))
+    draws = np.where(means > 0, draws, 0.0)
+    return {s.id: float(draws[i]) for i, s in enumerate(graph.attack_steps)}
+
+
 def attainment_costs_oracle(
     graph: AttackGraph,
     remaining_ttc: dict[str, float],

@@ -1,8 +1,9 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attacksim import graph as graph_module
 from attacksim.graph import (
@@ -11,11 +12,14 @@ from attacksim.graph import (
     DefenseStep,
     RewardConfig,
     attack_surface,
+    bundled_graph,
+    bundled_graph_names,
     default_rewards,
 )
 from attacksim.engine import (
     NOISE_ROWS,
     NoiseConfig,
+    SimState,
     episode_streams,
     init_episode,
     min_reward_bound,
@@ -30,7 +34,12 @@ from attacksim.engine import (
 from attacksim.attackers import make_attacker
 from attacksim.defenders import make_defender
 
-from conftest import build_random_graph, surface_oracle
+from conftest import (
+    build_random_graph,
+    episode_streams_oracle,
+    sample_ttc_oracle,
+    surface_oracle,
+)
 
 NO_NOISE = NoiseConfig(fpr=0.0, fnr=0.0)
 UNIT_REWARDS = RewardConfig(defense_cost=1.0, flag_cost=10.0)
@@ -78,6 +87,30 @@ class TestSampleTtc:
         assert abs(draws.mean() - 10.0) < 0.2
         assert (draws > 0).all()
 
+    @given(
+        graph_seed=st.integers(0, 2**32 - 1),
+        rng_seed=st.integers(0, 2**32 - 1),
+        ttc_range=st.sampled_from([(0.0, 0.0), (0.0, 0.3), (0.0, 6.0), (0.5, 6.0)]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_first_form_bit_for_bit(self, graph_seed, rng_seed, ttc_range):
+        # zero means come from the entry step, from (0, 0) ranges and from
+        # small draws rounded to 0.0; all of them must sample +0.0
+        g = build_random_graph(np.random.default_rng(graph_seed), ttc_range=ttc_range)
+        rng, twin = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+        for _ in range(3):
+            got, want = sample_ttc(g, rng), sample_ttc_oracle(g, twin)
+            assert list(got) == list(want)
+            for sid, value in want.items():
+                assert type(got[sid]) is float
+                assert got[sid].hex() == value.hex()
+                assert math.copysign(1.0, got[sid]) == math.copysign(1.0, value)
+            for s in g.attack_steps:
+                if s.ttc_mean == 0:
+                    assert got[s.id] == 0.0 and math.copysign(1.0, got[s.id]) == 1.0
+        # the same number of draws: both generators end in the same state
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestInitEpisode:
     def test_initial_state(self, four_ways_graph):
@@ -99,6 +132,13 @@ class TestInitEpisode:
         bad = AttackGraph(attack_steps=(AttackStep(id="a"),))
         with pytest.raises(ValueError, match="invalid graph"):
             init_episode(bad, NO_NOISE, UNIT_REWARDS, seed=1)
+
+    def test_ttc_sum_too_large_for_the_step_cap_rejected(self):
+        # load_graph rejects such a document; a graph built in code meets
+        # the same check when its first episode builds the step cap
+        big = chain_graph([1e308, 1e308])
+        with pytest.raises(ValueError, match="too large for the step cap"):
+            init_episode(big, NO_NOISE, UNIT_REWARDS, seed=1)
 
     def test_graph_validated_once_across_episodes(self, monkeypatch):
         g = chain_graph([1.0, 2.0])
@@ -553,6 +593,20 @@ class TestRunEpisode:
         assert record.truncated
         assert record.length == 3
 
+    def test_step_cap_below_one_rejected(self, four_ways_graph):
+        def run(max_steps):
+            return run_episode(
+                four_ways_graph, make_attacker("random"), make_defender("none"),
+                NO_NOISE, default_rewards(four_ways_graph), seed=1, max_steps=max_steps,
+            )
+
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_steps"):
+                run(bad)
+        record = run(1)
+        assert record.length == 1
+        assert record.truncated
+
     def test_trajectory_csv(self, tmp_path, toy_graph):
         rewards = default_rewards(toy_graph)
         record = run_episode(
@@ -587,3 +641,117 @@ class TestEpisodeStreams:
         e0 = episode_streams(1, 0)[0].random(4).tolist()
         e1 = episode_streams(1, 1)[0].random(4).tolist()
         assert e0 != e1
+
+    @given(
+        seed=st.integers(0, 2**70),
+        episode=st.integers(min_value=0),
+        context=st.integers(0, 3),
+    )
+    @example(seed=2**32 - 1, episode=2**32, context=1)
+    @example(seed=2**32, episode=5, context=0)
+    @example(seed=2**64 - 1, episode=2**64, context=2)
+    @example(seed=2**64, episode=2**70, context=3)
+    @example(seed=2**70, episode=0, context=0)
+    @settings(max_examples=200, deadline=None)
+    def test_match_spawned_children(self, seed, episode, context):
+        got = episode_streams(seed, episode, context)
+        want = episode_streams_oracle(seed, episode, context)
+        assert [g.bit_generator.state for g in got] == [w.bit_generator.state for w in want]
+
+    @pytest.mark.parametrize("key", [(-1, 0, 0), (1, -1, 0), (1, 0, -1), (-(2**64), 0, 0)])
+    def test_negative_key_rejected(self, key):
+        seed, episode, context = key
+        with pytest.raises(ValueError, match="non-negative"):
+            episode_streams_oracle(seed, episode, context)
+        with pytest.raises(ValueError, match="non-negative"):
+            episode_streams(seed, episode, context)
+
+
+SNAPSHOT_NOISES = (NoiseConfig(0.0, 0.0), NoiseConfig(0.1, 0.3), NoiseConfig(1.0, 0.5))
+
+
+def _snapshot_graphs():
+    rng = np.random.default_rng(12)
+    return [bundled_graph(name) for name in bundled_graph_names()] + [
+        build_random_graph(rng) for _ in range(20)
+    ]
+
+
+def _assert_matches_rebuild(state):
+    """`state` holds what `sync_derived` rebuilds from its sets, at
+    surface version 1, with the enabled bits read-only and the other
+    vectors writable."""
+    twin = SimState(
+        graph=state.graph,
+        noise=state.noise,
+        rewards=state.rewards,
+        t=state.t,
+        remaining_ttc=dict(state.remaining_ttc),
+        compromised=set(state.compromised),
+        enabled=set(state.enabled),
+        captured_flags=set(),
+        rng=None,
+    )
+    sync_derived(twin)
+    assert type(state.surface) is set
+    assert state.surface == twin.surface
+    for name in ("compromised_bits", "enabled_bits", "thresholds"):
+        got, want = getattr(state, name), getattr(twin, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert state.surface_version == twin.surface_version == 1
+    assert not state.enabled_bits.flags.writeable
+    assert state.compromised_bits.flags.writeable
+    assert state.thresholds.flags.writeable
+
+
+def _play(state):
+    """Work the lowest step on the surface each time-step and, every third
+    step once a step has fallen, enable a defense (one that uncompromises a
+    step if there is one) until the episode ends. Returns the largest
+    compromised set."""
+    graph = state.graph
+    most = set(state.compromised)
+    while state.surface:
+        defense = None
+        if len(most) > 1 and state.t % 3 == 2:
+            disabled = [d for d in graph.defense_ids if d not in state.enabled]
+            cutting = _cutting_defenses(graph, state, disabled)
+            defense = (cutting or disabled or [None])[0]
+        step(state, min(state.surface), defense)
+        if len(state.compromised) > len(most):
+            most = set(state.compromised)
+    return most
+
+
+class TestEntrySnapshot:
+    def test_episodes_start_from_the_rebuilt_entry_state(self):
+        enabled_any = False
+        for g in _snapshot_graphs():
+            rewards = default_rewards(g)
+            for noise in SNAPSHOT_NOISES:
+                state = init_episode(g, noise, rewards, seed=3)
+                assert state.compromised == {g.entry_id}
+                assert state.enabled == set()
+                _assert_matches_rebuild(state)
+                assert len(_play(state)) > 1
+                enabled_any = enabled_any or bool(state.enabled)
+                # the episode's enables and compromises left the next
+                # episode's start untouched
+                fresh = init_episode(g, noise, rewards, seed=4)
+                assert fresh.compromised == {g.entry_id}
+                assert fresh.enabled == set()
+                _assert_matches_rebuild(fresh)
+                # one read-only all-zero enabled vector shared by every start
+                assert fresh.enabled_bits is init_episode(g, noise, rewards, seed=5).enabled_bits
+        assert enabled_any
+
+    def test_graph_copies_build_their_own_snapshot(self, four_ways_graph):
+        rewards = default_rewards(four_ways_graph)
+        original = init_episode(four_ways_graph, NO_NOISE, rewards, seed=1)
+        for copy in (pickle.loads(pickle.dumps(four_ways_graph, protocol=p)) for p in (2, 4, 5)):
+            state = init_episode(copy, NO_NOISE, rewards, seed=1)
+            _assert_matches_rebuild(state)
+            assert state.enabled_bits is not original.enabled_bits
+            assert state.remaining_ttc == original.remaining_ttc
+

@@ -425,6 +425,69 @@ class TestGradients:
             assert max_rel_error(analytic, numeric) < 1e-4
 
 
+class TestClipKinks:
+    """At the kink of a clipped term, where unclipped == clipped exactly,
+    the gradient is the one-sided derivative from inside the clip range,
+    and the derivative from outside it is zero."""
+
+    H = 1e-6
+
+    @staticmethod
+    def one_row(seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(3, 2, rng, hidden=(4, 3))
+        batch = make_batch(params, rng, n=1, legal=np.ones((1, 3), dtype=bool))
+        return params, batch
+
+    @staticmethod
+    def one_sided(params, batch, hp, name, index, h):
+        """(loss(theta + h e) - loss(theta)) / h along one parameter entry."""
+        arr = getattr(params, name)
+        base, _ = ppo_loss(params, batch, hp)
+        orig = arr.flat[index]
+        arr.flat[index] = orig + h
+        moved, _ = ppo_loss(params, batch, hp)
+        arr.flat[index] = orig
+        return (moved - base) / h
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_policy_ratio_at_the_clip_bound(self, side):
+        # side +1: advantage > 0 at ratio 1 + eps; side -1: advantage < 0
+        # at ratio 1 - eps. Raising bp[action] raises the ratio.
+        params, batch = self.one_row(31)
+        batch.advantages = np.array([0.7 * side])
+        batch.logp_old = batch.logp_old - 0.1 * side
+        ratio = ppo._loss_pieces(params, batch, HyperParams())[2][6][0]
+        eps = side * (ratio - 1.0)
+        hp = HyperParams(clip_eps=eps, k_vf=0.0, k_s=0.0, k_kl=0.0)
+        assert ratio == 1.0 + side * hp.clip_eps
+        action = int(batch.actions[0])
+        _, _, grads = ppo_loss_and_grads(params, batch, hp)
+        analytic = grads["bp"][action]
+        inside = self.one_sided(params, batch, hp, "bp", action, -side * self.H)
+        outside = self.one_sided(params, batch, hp, "bp", action, side * self.H)
+        assert abs(analytic) > 1e-3
+        assert analytic == pytest.approx(inside, rel=1e-4)
+        assert outside == 0.0
+
+    def test_value_error_at_vf_clip(self):
+        # zero advantage silences the policy term; the value sits 3 above
+        # its return, so raising bv raises the squared error
+        params, batch = self.one_row(32)
+        batch.advantages = np.array([0.0])
+        values = ppo._loss_pieces(params, batch, HyperParams())[2][3]
+        batch.returns = values - 3.0
+        verr = float(((values - batch.returns) ** 2)[0])
+        hp = HyperParams(vf_clip=verr, k_vf=1.0, k_s=0.0, k_kl=0.0)
+        _, _, grads = ppo_loss_and_grads(params, batch, hp)
+        analytic = grads["bv"][0]
+        inside = self.one_sided(params, batch, hp, "bv", 0, -self.H)
+        outside = self.one_sided(params, batch, hp, "bv", 0, self.H)
+        assert analytic == pytest.approx(6.0, rel=1e-9)
+        assert analytic == pytest.approx(inside, rel=1e-4)
+        assert outside == 0.0
+
+
 class TestSgdUpdate:
     def test_lr_zero_leaves_params_unchanged(self):
         rng = np.random.default_rng(6)

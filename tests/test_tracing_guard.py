@@ -54,3 +54,36 @@ def test_tracer_installs_on_every_traced_name():
     calls = np.bincount(tracer.spans()["name"], minlength=len(tracer.names))
     called = {name for name, n in zip(tracer.names, calls) if n}
     assert {"engine.run_episode", "engine.step", "defenders.learned_select", "ppo.forward"} <= called
+
+
+def test_episode_setup_spans_per_episode():
+    """Over three traced episodes on a fresh four_ways graph: one stream
+    and one init span per episode, and the full surface scan only in the
+    first, where the graph's entry snapshot is built."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer("engine.run_episode")
+    graph = bundled_graph("four_ways")
+    params = ppo.init_params(
+        graph.num_attack_steps, graph.num_defense_steps, np.random.default_rng(0)
+    )
+    defender = make_defender("learned", params=params)
+    tracer.install()
+    try:
+        for episode in range(3):
+            engine.run_episode(
+                graph, make_attacker("mixture"), defender,
+                engine.NoiseConfig(fpr=0.1, fnr=0.1), default_rewards(graph),
+                seed=9, episode=episode,
+            )
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+
+    def per_episode(name):
+        ops = spans["op"][spans["name"] == tracer.names.index(name)]
+        return np.bincount(ops, minlength=3).tolist()
+
+    assert per_episode("engine.run_episode") == [1, 1, 1]
+    assert per_episode("engine.episode_streams") == [1, 1, 1]
+    assert per_episode("engine.init_episode") == [1, 1, 1]
+    assert per_episode("graph.attack_surface") == [1, 0, 0]
