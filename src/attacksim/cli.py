@@ -17,7 +17,7 @@ import pathlib
 import sys
 
 from . import experiments, ppo
-from .attackers import canonical_kind, make_attacker
+from .attackers import _ALIASES, ATTACKER_KINDS, canonical_kind, make_attacker
 from .defenders import DEFENDER_KINDS
 from .engine import NoiseConfig, write_csv, write_trajectory
 from .generate import GenConfig, GenConfigError, generate
@@ -31,7 +31,9 @@ from .graph import (
     save_graph_file,
 )
 
-ATTACKER_CHOICES = ("random", "bfs", "dfs", "pathfinder", "mixture")
+# every attacker kind, under its alias where it has one
+_ALIAS_OF = {kind: alias for alias, kind in _ALIASES.items()}
+ATTACKER_CHOICES = tuple(_ALIAS_OF.get(kind, kind) for kind in ATTACKER_KINDS)
 
 
 def _resolve_graph(ref: str):
@@ -49,13 +51,17 @@ def _resolve_graph(ref: str):
 
 
 def _parse_list(text: str, convert, noun: str) -> tuple:
-    """Comma-separated values; argparse names the flag in the error."""
+    """Comma-separated distinct values; argparse names the flag in the
+    error."""
     try:
         values = tuple(convert(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s, got {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"must list at least one {noun}, got {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"repeated {noun} {value!r} in {text!r}")
     return values
 
 

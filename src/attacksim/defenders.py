@@ -9,9 +9,10 @@ What a defender derives from the defense bits is rebuilt only when
 read-only array per enabled set and replaces it on each enable, so the
 bits of an array never change while it is in use.
 
-`learned_select` is the one masked-policy sampler: evaluation uses it through
-`LearnedDefender`, and PPO rollouts through `RecordingDefender`, which also
-keeps each decision for the update.
+`learned_select` is the one masked-policy sampler. `LearnedDefender` drives
+it in evaluation and in PPO rollouts alike, with its own legal mask and
+rng, and keeps each decision of the current episode for the update; no
+state is shared between defenders.
 """
 
 from __future__ import annotations
@@ -24,27 +25,11 @@ from .graph import AttackGraph
 from .engine import Observation
 from . import ppo
 
-DEFENDER_KINDS = ("none", "random", "tripwire", "learned")
-
-# the legal-mask entry of the trailing no-op action
-_NOOP_LEGAL = np.ones(1, dtype=bool)
-
-# (defense bits, legal mask) of the last learned_select call
-_last_legal: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
-
 
 def make_defender(kind: str, params: "ppo.PolicyParams | None" = None, mode: str = "sample"):
-    if kind == "none":
-        return NoopDefender()
-    if kind == "random":
-        return RandomDefender()
-    if kind == "tripwire":
-        return TripwireDefender()
-    if kind == "learned":
-        if params is None:
-            raise ValueError("learned defender requires policy parameters")
-        return LearnedDefender(params, mode=mode)
-    raise ValueError(f"unknown defender kind {kind!r}; expected one of {DEFENDER_KINDS}")
+    if kind not in _CLASSES:
+        raise ValueError(f"unknown defender kind {kind!r}; expected one of {DEFENDER_KINDS}")
+    return LearnedDefender(params, mode=mode) if kind == "learned" else _CLASSES[kind]()
 
 
 def _disabled_indices(observation: Observation) -> list[int]:
@@ -134,40 +119,36 @@ class PolicyStep(NamedTuple):
 def learned_select(
     observation: Observation,
     params: "ppo.PolicyParams",
+    legal: np.ndarray,
     rng: np.random.Generator,
     mode: str,
 ) -> PolicyStep:
-    """Pick an action index through the policy network. Already-enabled
-    defenses (defense bit 1) get zero probability and the trailing no-op is
-    always legal; `sample` draws from the masked categorical, `greedy`
+    """Pick an action index through the policy network, restricted to the
+    `legal` mask; `sample` draws from the masked categorical, `greedy`
     takes the argmax (a legal action: the illegal ones have probability 0)."""
-    global _last_legal
     x = observation.vector()
     logits, value = ppo.forward(params, x)
-    bits, legal = _last_legal
-    if observation.defense_bits is not bits:
-        bits = observation.defense_bits
-        legal = np.concatenate((bits == 0, _NOOP_LEGAL))
-        legal.flags.writeable = False
-        _last_legal = (bits, legal)
     probs, logp_all = ppo.masked_log_softmax(logits, legal)
-    if mode == "greedy":
-        action = int(probs.argmax())
-    elif mode == "sample":
-        action = ppo.sample_action(probs, legal, rng)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'sample' or 'greedy'")
+    action = int(probs.argmax()) if mode == "greedy" else ppo.sample_action(probs, legal, rng)
     return PolicyStep(x, action, logp_all[action], value, probs, legal)
 
 
 class LearnedDefender(DefenderPolicy):
+    """The policy network's defender. Its legal mask is one entry per
+    defense in index order, legal where the bit is 0, then the always-legal
+    no-op. Every decision of the current episode is kept, in order, in
+    `decisions` for the learner."""
+
     kind = "learned"
 
-    def __init__(self, params: "ppo.PolicyParams", mode: str = "sample"):
+    def __init__(self, params: "ppo.PolicyParams | None", mode: str = "sample"):
+        if params is None:
+            raise ValueError("learned defender requires policy parameters")
         if mode not in ("sample", "greedy"):
             raise ValueError(f"unknown mode {mode!r}; expected 'sample' or 'greedy'")
         self.params = params
         self.mode = mode
+        self.decisions: list[PolicyStep] = []
 
     def reset(self, graph, rng):
         if (
@@ -180,21 +161,19 @@ class LearnedDefender(DefenderPolicy):
         # action index -> defense id; the trailing index is the no-op
         self._action_ids = graph.defense_ids + (None,)
         self._rng = rng
+        self._bits = None
+        self._legal = None
+        self.decisions = []
 
     def select(self, observation):
-        decision = learned_select(observation, self.params, self._rng, self.mode)
-        return self._action_ids[decision.action]
-
-
-class RecordingDefender(LearnedDefender):
-    """Sample-mode learned defender that also keeps every decision, in
-    order, for the learner."""
-
-    def __init__(self, params: "ppo.PolicyParams"):
-        super().__init__(params, mode="sample")
-        self.decisions: list[PolicyStep] = []
-
-    def select(self, observation):
-        decision = learned_select(observation, self.params, self._rng, self.mode)
+        if observation.defense_bits is not self._bits:
+            self._bits = observation.defense_bits
+            self._legal = np.concatenate((self._bits == 0, [True]))
+            self._legal.flags.writeable = False
+        decision = learned_select(observation, self.params, self._legal, self._rng, self.mode)
         self.decisions.append(decision)
         return self._action_ids[decision.action]
+
+
+_CLASSES = {cls.kind: cls for cls in (NoopDefender, RandomDefender, TripwireDefender, LearnedDefender)}
+DEFENDER_KINDS = tuple(_CLASSES)

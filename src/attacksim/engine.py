@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import AttackGraph, RewardConfig, attack_surface, check_ttc_total, workable
+from .graph import AttackGraph, RewardConfig, attack_surface, check_ttc_total, step_cap_bound, workable
 
 # stream contexts keep evaluation, training and ad-hoc rollouts on disjoint
 # RNG streams even when they share a master seed
@@ -159,16 +159,13 @@ class EntrySnapshot(NamedTuple):
     step_cap: int
 
 
-def _check_valid(graph: AttackGraph) -> None:
+def _build_entry_snapshot(graph: AttackGraph) -> EntrySnapshot:
+    """Check the graph, then run `sync_derived` once on an entry-only state
+    (it reads neither rewards nor rng, and the snapshot keeps nothing
+    noise-dependent). A graph that fails a check gets no snapshot."""
     violations = graph.violations()
     if violations:
         raise ValueError(f"invalid graph: {list(violations)}")
-
-
-def _build_entry_snapshot(graph: AttackGraph) -> EntrySnapshot:
-    """Run `sync_derived` once on an entry-only state (it reads neither
-    rewards nor rng, and the snapshot keeps nothing noise-dependent)."""
-    _check_valid(graph)
     check_ttc_total(graph)
     state = SimState(
         graph=graph,
@@ -190,7 +187,7 @@ def _build_entry_snapshot(graph: AttackGraph) -> EntrySnapshot:
         state.compromised_bits,
         state.enabled_bits,
         ttc_means,
-        int(math.ceil(10 * (graph.num_attack_steps + graph.total_ttc()))),
+        int(math.ceil(step_cap_bound(graph))),
     )
 
 
@@ -252,12 +249,11 @@ def init_episode(
     derived fields are copied from the graph's entry snapshot, built on
     the graph's first episode; they equal what `sync_derived` would
     rebuild, at surface version 1."""
-    _check_valid(graph)
+    entry = _entry_snapshot(graph)
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = episode_streams(seed, episode, context)[0]
-    entry = _entry_snapshot(graph)
     state = SimState(
         graph=graph,
         noise=noise,
@@ -444,7 +440,7 @@ def min_reward_bound(graph: AttackGraph, rewards: RewardConfig, episode_len: int
 def default_step_cap(graph: AttackGraph) -> int:
     """Hard episode cap guarding against pathological configs; generously
     above the worst-case termination bound for sane graphs:
-    ceil(10 * (|A| + total TTC)), kept in the graph's entry snapshot."""
+    `step_cap_bound(graph)` rounded up, kept in the graph's entry snapshot."""
     return _entry_snapshot(graph).step_cap
 
 

@@ -125,8 +125,8 @@ def noise_grid(values: list[float] | tuple[float, ...]) -> list[tuple[float, flo
     """All (fpr, fnr) pairs with fnr <= fpr. The complementary half of the
     grid is equivalent with true/false labels swapped, so it is skipped."""
     values = list(values)
-    if sorted(values) != values:
-        raise ValueError("noise values must be sorted ascending")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError("noise values must be strictly ascending")
     if any(not 0 <= v <= 1 for v in values):
         raise ValueError("noise values must lie in [0, 1]")
     return [(fpr, fnr) for fpr in values for fnr in values if fnr <= fpr]

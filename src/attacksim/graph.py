@@ -366,12 +366,17 @@ def load_graph(text: str) -> AttackGraph:
     return graph
 
 
+def step_cap_bound(graph: AttackGraph) -> float:
+    """10 * (|A| + total TTC): the engine's step cap before it is rounded
+    up to a whole step."""
+    return 10 * (graph.num_attack_steps + graph.total_ttc())
+
+
 def check_ttc_total(graph: AttackGraph) -> None:
-    """The engine's step cap, 10 * (|A| + total TTC), and the flag cost are
-    derived from the summed TTC and must stay finite."""
+    """The engine's step cap and the flag cost are derived from the summed
+    TTC and must stay finite."""
     total = graph.total_ttc()
-    step_cap = 10 * (graph.num_attack_steps + total)
-    if not (math.isfinite(step_cap) and math.isfinite(FLAG_COST_FACTOR * total)):
+    if not (math.isfinite(step_cap_bound(graph)) and math.isfinite(FLAG_COST_FACTOR * total)):
         raise GraphFormatError(
             f"attack_steps[*].ttc: the TTCs sum to {total!r}, "
             "too large for the step cap and the flag cost"
@@ -399,8 +404,12 @@ def save_graph(graph: AttackGraph) -> str:
 
 
 def load_graph_file(path) -> AttackGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"graph file {path} is not UTF-8 text: {exc}") from None
+    return load_graph(text)
 
 
 def save_graph_file(graph: AttackGraph, path) -> None:

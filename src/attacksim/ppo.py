@@ -375,10 +375,10 @@ def collect_batch(
     hp.train_batch steps are gathered. The last step of every episode is
     terminal, whether the episode ended or hit the step cap."""
     # imported here: defenders imports this module
-    from .defenders import RecordingDefender
+    from .defenders import LearnedDefender
 
-    defender = RecordingDefender(params)
-    reward_rows, done_rows = [], []
+    defender = LearnedDefender(params)
+    decisions, reward_rows, done_rows = [], [], []
     episode_rewards, episode_flags = [], []
     episode = first_episode
     while len(reward_rows) < hp.train_batch:
@@ -386,13 +386,13 @@ def collect_batch(
             graph, attacker, defender, noise, rewards, seed,
             episode=episode, context=engine.CONTEXT_TRAIN,
         )
+        decisions.extend(defender.decisions)
         reward_rows.extend(row.reward for row in record.steps)
         done_rows.extend([False] * (record.length - 1) + [True])
         episode_rewards.append(record.cumulative_reward)
         episode_flags.append(record.flags_fraction)
         episode += 1
 
-    decisions = defender.decisions
     batch = TrajectoryBatch(
         obs=np.array([d.obs for d in decisions], dtype=np.float64),
         actions=np.array([d.action for d in decisions], dtype=np.int64),
@@ -489,9 +489,9 @@ def save_policy(
 
 
 def load_policy(path) -> PolicyParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         num_attack, num_defense = int(doc["num_attack_steps"]), int(doc["num_defense_steps"])
         h1, h2 = (int(h) for h in doc["hidden_layers"])
         table = weight_table(num_attack, num_defense, (h1, h2))

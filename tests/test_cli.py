@@ -310,6 +310,12 @@ class TestExperimentCommands:
             (["sweep", "--graph", "toy"], "--values", ","),
             (["sweep", "--graph", "toy"], "--values", "0,x"),
             (["sweep", "--graph", "toy"], "--defenders", ","),
+            # a repeated value would repeat rows and understate the spread
+            (["scaling"], "--sizes", "20,20"),
+            (["sweep", "--graph", "toy"], "--seeds", "1,1"),
+            (["evaluate", "--graph", "toy"], "--seeds", "1,2,1"),
+            (["sweep", "--graph", "toy"], "--values", "0,0.0"),
+            (["sweep", "--graph", "toy"], "--defenders", "tripwire,tripwire"),
         ],
     )
     def test_bad_integer_list_names_its_flag(self, tmp_path, capsys, command, flag, value):

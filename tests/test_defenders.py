@@ -22,7 +22,6 @@ from attacksim.engine import (
 )
 from attacksim.attackers import make_attacker
 from attacksim.defenders import _disabled_indices, make_defender
-from attacksim import defenders as defenders_module
 from attacksim import ppo
 
 from conftest import build_random_graph
@@ -203,6 +202,22 @@ class TestLearnedDefender:
         with pytest.raises(ValueError, match="policy parameters"):
             make_defender("learned")
 
+    @pytest.mark.parametrize("mode", ["sample", "greedy"])
+    def test_records_each_decision_of_the_episode(self, four_ways_graph, mode):
+        g = four_ways_graph
+        params = ppo.init_params(g.num_attack_steps, g.num_defense_steps, np.random.default_rng(3))
+        defender = make_defender("learned", params=params, mode=mode)
+        record = run_episode(
+            g, make_attacker("dfs"), defender, NoiseConfig(0.2, 0.1), default_rewards(g), seed=5
+        )
+        action_ids = g.defense_ids + (None,)
+        assert len(defender.decisions) == record.length
+        assert [action_ids[d.action] for d in defender.decisions] == [
+            row.defender_action for row in record.steps
+        ]
+        defender.reset(g, np.random.default_rng(0))
+        assert defender.decisions == []
+
 
 class TestMaskRespected:
     @given(data=st.data())
@@ -264,10 +279,8 @@ class TestCachedViews:
                 elif kind == "random":
                     assert cached._options == [g.defense_ids[i] for i in fresh] + [None]
                 else:
-                    bits, legal = defenders_module._last_legal
-                    assert bits is obs.defense_bits
-                    assert legal.tolist() == [i in fresh for i in range(g.num_defense_steps)] + [True]
-                    defenders_module._last_legal = (None, None)
+                    assert cached._bits is obs.defense_bits
+                    assert cached._legal.tolist() == [i in fresh for i in range(g.num_defense_steps)] + [True]
                 rebuilt._bits = None
                 assert rebuilt.select(obs) == choice
                 row = step(state, attacker.select(state), choice)

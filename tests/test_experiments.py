@@ -43,6 +43,8 @@ class TestNoiseGrid:
     def test_rejects_unsorted_or_out_of_range(self):
         with pytest.raises(ValueError):
             noise_grid([0.5, 0.0])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            noise_grid([0.0, 0.0])
         with pytest.raises(ValueError):
             noise_grid([0.0, 1.5])
 

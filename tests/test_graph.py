@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from attacksim.graph import (
     bundled_graph_names,
     flag_cost,
     load_graph,
+    load_graph_file,
     save_graph,
     validate,
 )
@@ -386,6 +388,12 @@ class TestDocumentFormat:
             load_graph('{"attack_steps": [{"id": "e", "entry": true}], "edges": [["e"]]}')
         with pytest.raises(GraphFormatError, match="invalid JSON"):
             load_graph("{nope")
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_bytes(b'{"attack_steps": [\xff]}')
+        with pytest.raises(GraphFormatError, match=f"graph file {re.escape(str(path))} is not UTF-8"):
+            load_graph_file(path)
 
     @given(doc=st.one_of(_JSON, _GRAPH_SHAPED))
     @settings(max_examples=300, deadline=None)

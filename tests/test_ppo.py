@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,8 +201,9 @@ class TestMaskedSoftmax:
             attack_bits=np.array([1, 0], dtype=np.uint8),
             defense_bits=np.array([1, 0, 1], dtype=np.uint8),
         )
+        legal = np.array([False, True, False, True])
         for mode in ("sample", "greedy"):
-            decision = learned_select(obs, params, np.random.default_rng(1), mode)
+            decision = learned_select(obs, params, legal, np.random.default_rng(1), mode)
             assert decision.legal.dtype == bool
             assert decision.legal.tolist() == [False, True, False, True]
             assert decision.probs[~decision.legal].tolist() == [0.0, 0.0]
@@ -602,6 +604,12 @@ class TestPolicyFile:
         path = tmp_path / "broken.json"
         path.write_text('{"num_attack_steps": 3}')
         with pytest.raises(ValueError, match="malformed policy file"):
+            load_policy(path)
+
+    def test_non_json_file_rejected_naming_the_path(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("not a policy\n")
+        with pytest.raises(ValueError, match=f"malformed policy file {re.escape(str(path))}: "):
             load_policy(path)
 
     def test_weight_shape_must_match_header(self, tmp_path):
