@@ -18,7 +18,7 @@ import sys
 
 from . import experiments, ppo
 from .attackers import _ALIASES, ATTACKER_KINDS, canonical_kind, make_attacker
-from .defenders import DEFENDER_KINDS
+from .defenders import ACTION_MODES, DEFENDER_KINDS
 from .engine import NoiseConfig, write_csv, write_trajectory
 from .generate import GenConfig, GenConfigError, generate
 from .graph import (
@@ -87,8 +87,13 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return _parse_list(text, _seed, "non-negative integer")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return _parse_list(text, float, "number")
+def _parse_noise_values(text: str) -> tuple[float, ...]:
+    values = _parse_list(text, float, "number")
+    try:
+        experiments.noise_grid(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+    return values
 
 
 def _parse_defenders(text: str) -> tuple[str, ...]:
@@ -180,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="random")
     p.add_argument("--defender", choices=DEFENDER_KINDS, default="none")
     p.add_argument("--policy-file", help="policy parameters for --defender learned")
-    p.add_argument("--mode", choices=("sample", "greedy"), default="sample", help="learned-defender action mode")
+    p.add_argument("--mode", choices=ACTION_MODES, default="sample", help="learned-defender action mode")
     _add_noise_flags(p)
     _add_reward_flags(p)
     p.add_argument("--episodes", type=int, default=10)
@@ -206,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="dfs")
     p.add_argument("--defender", choices=DEFENDER_KINDS, default="random")
     p.add_argument("--policy-file")
-    p.add_argument("--mode", choices=("sample", "greedy"), default="sample")
+    p.add_argument("--mode", choices=ACTION_MODES, default="sample")
     _add_noise_flags(p)
     _add_reward_flags(p)
     p.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="random,tripwire",
         help=f"comma-separated defender kinds, of {', '.join(DEFENDER_KINDS)} (default: %(default)s)",
     )
-    p.add_argument("--values", type=_parse_floats, default=experiments.FULL_NOISE_VALUES, help="ascending noise rates")
+    p.add_argument("--values", type=_parse_noise_values, default=experiments.FULL_NOISE_VALUES, help="ascending noise rates")
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="dfs")
     _add_experiment_flags(p)
 
@@ -401,17 +406,24 @@ def _cmd_attacker_matrix(args) -> int:
     return _experiment_outputs(args, rows, "attacker_matrix")
 
 
+# the scaling flags that set each GenConfig field
+_SCALING_FLAGS = {"num_attack_steps": "--sizes", "seed": "--graph-seed"}
+
+
 def _cmd_scaling(args) -> int:
-    rows = experiments.scaling_study(
-        sizes=args.sizes,
-        hp=_hp_from_args(args),
-        noise=(args.fpr, args.fnr),
-        episodes=args.episodes,
-        seeds=tuple(args.seeds),
-        attacker=canonical_kind(args.attacker),
-        graph_seed=args.graph_seed,
-        jobs=args.jobs,
-    )
+    try:
+        rows = experiments.scaling_study(
+            sizes=args.sizes,
+            hp=_hp_from_args(args),
+            noise=(args.fpr, args.fnr),
+            episodes=args.episodes,
+            seeds=tuple(args.seeds),
+            attacker=canonical_kind(args.attacker),
+            graph_seed=args.graph_seed,
+            jobs=args.jobs,
+        )
+    except GenConfigError as exc:
+        raise ValueError(f"{_SCALING_FLAGS[exc.field]}: {exc}") from None
     return _experiment_outputs(args, rows, "scaling")
 
 

@@ -25,6 +25,9 @@ from .graph import AttackGraph
 from .engine import Observation
 from . import ppo
 
+# how a learned defender turns its policy into an action
+ACTION_MODES = ("sample", "greedy")
+
 
 def make_defender(kind: str, params: "ppo.PolicyParams | None" = None, mode: str = "sample"):
     if kind not in _CLASSES:
@@ -144,8 +147,8 @@ class LearnedDefender(DefenderPolicy):
     def __init__(self, params: "ppo.PolicyParams | None", mode: str = "sample"):
         if params is None:
             raise ValueError("learned defender requires policy parameters")
-        if mode not in ("sample", "greedy"):
-            raise ValueError(f"unknown mode {mode!r}; expected 'sample' or 'greedy'")
+        if mode not in ACTION_MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {ACTION_MODES}")
         self.params = params
         self.mode = mode
         self.decisions: list[PolicyStep] = []

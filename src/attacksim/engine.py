@@ -16,12 +16,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import AttackGraph, RewardConfig, attack_surface, check_ttc_total, step_cap_bound, workable
+from .graph import AttackGraph, RewardConfig, attack_surface, step_cap_bound, workable
 
-# stream contexts keep evaluation, training and ad-hoc rollouts on disjoint
-# RNG streams even when they share a master seed
+# stream contexts keep evaluation and training rollouts, the policy's
+# initial weights and the minibatch shuffle on disjoint RNG streams even
+# when they share a master seed
 CONTEXT_EVAL = 0
 CONTEXT_TRAIN = 1
+CONTEXT_INIT = 2
+CONTEXT_SHUFFLE = 3
 
 # observe() draws its IDS uniforms this many observations at a time; PCG64
 # yields the same doubles in one (rows, |A|) draw as in rows draws of |A|
@@ -162,11 +165,8 @@ class EntrySnapshot(NamedTuple):
 def _build_entry_snapshot(graph: AttackGraph) -> EntrySnapshot:
     """Check the graph, then run `sync_derived` once on an entry-only state
     (it reads neither rewards nor rng, and the snapshot keeps nothing
-    noise-dependent). A graph that fails a check gets no snapshot."""
-    violations = graph.violations()
-    if violations:
-        raise ValueError(f"invalid graph: {list(violations)}")
-    check_ttc_total(graph)
+    noise-dependent). A graph that fails `check()` gets no snapshot."""
+    graph.check()
     state = SimState(
         graph=graph,
         noise=NoiseConfig(fpr=0.0, fnr=0.0),

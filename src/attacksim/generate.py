@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AttackGraph, AttackStep, DefenseStep, check_ttc_total
+from .graph import AttackGraph, AttackStep, DefenseStep
 
 FLAG_INTERVAL = 20  # one flag (and one defense) per 20 attack steps
 
@@ -106,8 +106,5 @@ def generate(config: GenConfig) -> AttackGraph:
     graph = AttackGraph(
         attack_steps=attack_steps, defense_steps=defense_steps, edges=frozenset(edges)
     )
-    violations = graph.violations()
-    if violations:
-        raise RuntimeError(f"generator produced an invalid graph: {list(violations)}")
-    check_ttc_total(graph)
+    graph.check()
     return graph

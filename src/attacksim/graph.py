@@ -5,6 +5,9 @@ are compromisable (OR needs one compromised parent, AND needs all of them) and
 carry a mean time-to-compromise; defense steps are root switches that, once
 enabled, permanently block their child attack steps. Graphs are immutable
 after construction and safe to share across concurrent episode runners.
+
+Every graph rule is in `validate`; `AttackGraph.check()`, called by load,
+generate and the first episode, is the one gate for an invalid graph.
 """
 
 from __future__ import annotations
@@ -138,6 +141,12 @@ class AttackGraph:
         """`validate(self)`, kept by `memo`."""
         return self.memo("violations", _violation_tuple)
 
+    def check(self) -> None:
+        """Raise one GraphFormatError listing every violation, if any."""
+        violations = self.violations()
+        if violations:
+            raise GraphFormatError(f"invalid graph: {list(violations)}")
+
     def parent_table(self) -> tuple[tuple[str, tuple[str, ...], bool, tuple[str, ...]], ...]:
         """(id, attack parents, OR flag, defense parents) of every attack
         step in index order, kept by `memo`."""
@@ -212,6 +221,13 @@ def validate(graph: AttackGraph) -> list[str]:
         for flag_id in sorted(graph.flag_ids):
             if flag_id not in reachable:
                 violations.append(f"unreachable flag {flag_id}")
+
+    # a finite step cap implies a finite flag cost, 1.5x the same sum
+    if not math.isfinite(step_cap_bound(graph)):
+        violations.append(
+            f"attack_steps[*].ttc: the TTCs sum to {graph.total_ttc()!r}, "
+            "too large for the step cap and the flag cost"
+        )
 
     return violations
 
@@ -293,8 +309,8 @@ def default_rewards(graph: AttackGraph, defense_cost: float = 1.0) -> RewardConf
 
 def load_graph(text: str) -> AttackGraph:
     """Parse a graph JSON document. Raises GraphFormatError with field
-    context on schema violations, and with the full violation list when the
-    parsed graph breaks a structural invariant."""
+    context on schema violations, and `check()`'s one error listing every
+    `validate` violation when the parsed graph breaks a graph rule."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
@@ -359,10 +375,7 @@ def load_graph(text: str) -> AttackGraph:
         defense_steps=tuple(defense_steps),
         edges=frozenset(edges),
     )
-    violations = graph.violations()
-    if violations:
-        raise GraphFormatError(f"document violates graph invariants: {list(violations)}")
-    check_ttc_total(graph)
+    graph.check()
     return graph
 
 
@@ -370,17 +383,6 @@ def step_cap_bound(graph: AttackGraph) -> float:
     """10 * (|A| + total TTC): the engine's step cap before it is rounded
     up to a whole step."""
     return 10 * (graph.num_attack_steps + graph.total_ttc())
-
-
-def check_ttc_total(graph: AttackGraph) -> None:
-    """The engine's step cap and the flag cost are derived from the summed
-    TTC and must stay finite."""
-    total = graph.total_ttc()
-    if not (math.isfinite(step_cap_bound(graph)) and math.isfinite(FLAG_COST_FACTOR * total)):
-        raise GraphFormatError(
-            f"attack_steps[*].ttc: the TTCs sum to {total!r}, "
-            "too large for the step cap and the flag cost"
-        )
 
 
 def save_graph(graph: AttackGraph) -> str:
@@ -404,12 +406,14 @@ def save_graph(graph: AttackGraph) -> str:
 
 
 def load_graph_file(path) -> AttackGraph:
+    """`load_graph` on a UTF-8 file; every GraphFormatError names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return load_graph(fh.read())
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"graph file {path} is not UTF-8 text: {exc}") from None
-    return load_graph(text)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"graph file {path}: {exc}") from None
 
 
 def save_graph_file(graph: AttackGraph, path) -> None:

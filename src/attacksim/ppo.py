@@ -357,9 +357,6 @@ def sgd_update(
 # rollout collection and the training loop
 # ---------------------------------------------------------------------------
 
-_CTX_INIT = 2
-_CTX_SHUFFLE = 3
-
 
 def collect_batch(
     graph: AttackGraph,
@@ -431,8 +428,8 @@ def train(
 ) -> tuple[PolicyParams, list[CurvePoint]]:
     """Full training run: collect, estimate advantages, update; one curve
     point per iteration. Deterministic for a fixed seed."""
-    init_rng = np.random.default_rng(np.random.SeedSequence((int(seed), _CTX_INIT)))
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence((int(seed), _CTX_SHUFFLE)))
+    init_rng = np.random.default_rng(np.random.SeedSequence((int(seed), engine.CONTEXT_INIT)))
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence((int(seed), engine.CONTEXT_SHUFFLE)))
     params = init_params(graph.num_attack_steps, graph.num_defense_steps, init_rng)
 
     curve: list[CurvePoint] = []

@@ -150,7 +150,20 @@ class TestSimulate:
         )
         assert run_cli(["simulate", "--graph", str(graph)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("attacksim: error: attack_steps[1].ttc: ")
+        assert err.startswith(f"attacksim: error: graph file {graph}: attack_steps[1].ttc: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("hello", "invalid JSON: "), ('{"attack_steps": []}', "invalid graph: ['no entry step']")],
+        ids=["not-json", "no-entry"],
+    )
+    def test_bad_graph_file_error_names_the_path(self, tmp_path, capsys, text, message):
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        assert run_cli(["simulate", "--graph", str(graph)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"attacksim: error: graph file {graph}: {message}")
         assert len(err.splitlines()) == 1
 
     def test_graph_violation_exits_two(self, tmp_path, capsys):
@@ -316,6 +329,9 @@ class TestExperimentCommands:
             (["evaluate", "--graph", "toy"], "--seeds", "1,2,1"),
             (["sweep", "--graph", "toy"], "--values", "0,0.0"),
             (["sweep", "--graph", "toy"], "--defenders", "tripwire,tripwire"),
+            # the noise grid's own rules
+            (["sweep", "--graph", "toy"], "--values", "0.5,0.25"),
+            (["sweep", "--graph", "toy"], "--values", "0,1.5"),
         ],
     )
     def test_bad_integer_list_names_its_flag(self, tmp_path, capsys, command, flag, value):
@@ -363,6 +379,23 @@ class TestExperimentCommands:
             run_cli(["sweep", "--help"])
         assert err.value.code == 0
         assert "--timing" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sizes", "30", "num_attack_steps must be a positive multiple of 20, got 30"),
+            ("--graph-seed", "9" * 23, "seed must be a 64-bit unsigned integer"),
+        ],
+        ids=["sizes", "graph-seed"],
+    )
+    def test_scaling_graph_config_errors_name_the_flag(self, tmp_path, capsys, flag, value, message):
+        out_dir = tmp_path / "out"
+        argv = ["scaling", flag, value, "--episodes", "1", "--seeds", "1", "--out-dir", str(out_dir)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"attacksim: error: {flag}: {message}")
+        assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_scaling_with_tiny_settings(self, tmp_path):
         out_dir = tmp_path / "scaling"

@@ -22,7 +22,15 @@ from attacksim.graph import (
     validate,
 )
 
+from attacksim.engine import NoiseConfig, init_episode
+from attacksim.generate import GenConfig, generate
+
 from conftest import build_random_graph, reachable_oracle, surface_oracle
+
+
+_TTC_SUM_INF = (
+    "attack_steps[*].ttc: the TTCs sum to inf, too large for the step cap and the flag cost"
+)
 
 
 def graph_of(steps, defenses=(), edges=()):
@@ -30,6 +38,18 @@ def graph_of(steps, defenses=(), edges=()):
         attack_steps=tuple(steps),
         defense_steps=tuple(defenses),
         edges=frozenset(edges),
+    )
+
+
+def _overflowing_chain():
+    """e -> a -> f: each TTC is finite, their sum is not."""
+    return graph_of(
+        [
+            AttackStep(id="e", is_entry=True),
+            AttackStep(id="a", ttc_mean=1e308),
+            AttackStep(id="f", ttc_mean=1e308, is_flag=True),
+        ],
+        edges=[("e", "a"), ("a", "f")],
     )
 
 
@@ -121,6 +141,9 @@ class TestValidate:
         violations = validate(g)
         assert "duplicate id x" in violations
         assert "id x used for both an attack and a defense step" in violations
+
+    def test_ttc_sum_too_large_for_the_step_cap(self):
+        assert validate(_overflowing_chain()) == [_TTC_SUM_INF]
 
     def test_violations_are_deterministic(self):
         g = graph_of(
@@ -378,6 +401,33 @@ class TestDocumentFormat:
         )
         with pytest.raises(GraphFormatError, match="unreachable flag f"):
             load_graph(doc)
+
+    def test_every_violation_in_one_error(self):
+        # an unreachable flag and overflowing TTCs: both rules are listed
+        doc = json.dumps(
+            {
+                "attack_steps": [
+                    {"id": "e", "entry": True},
+                    {"id": "a", "ttc": 1e308},
+                    {"id": "f", "ttc": 1e308, "flag": True},
+                ],
+                "edges": [["e", "a"]],
+            }
+        )
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(doc)
+        assert str(err.value) == f"invalid graph: {['unreachable flag f', _TTC_SUM_INF]}"
+
+    def test_generate_and_first_episode_share_the_gate(self):
+        expected = f"invalid graph: {[_TTC_SUM_INF]}"
+        config = GenConfig(num_attack_steps=20, seed=1, ttc_mean_range=(1e308, 1e308))
+        with pytest.raises(GraphFormatError) as err:
+            generate(config)
+        assert str(err.value) == expected
+        rewards = RewardConfig(defense_cost=1.0, flag_cost=1.0)
+        with pytest.raises(GraphFormatError) as err:
+            init_episode(_overflowing_chain(), NoiseConfig(fpr=0.0, fnr=0.0), rewards, seed=1)
+        assert str(err.value) == expected
 
     def test_parse_errors_carry_context(self):
         with pytest.raises(GraphFormatError, match="attack_steps"):

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from attacksim import ppo
 from attacksim.graph import default_rewards
-from attacksim.engine import NoiseConfig, Observation
+from attacksim.engine import CONTEXT_INIT, NoiseConfig, Observation
 from attacksim.defenders import learned_select
 from attacksim.attackers import make_attacker
 from attacksim.ppo import (
@@ -536,7 +536,7 @@ class TestTrain:
         fresh = init_params(
             toy_graph.num_attack_steps,
             toy_graph.num_defense_steps,
-            np.random.default_rng(np.random.SeedSequence((1, ppo._CTX_INIT))),
+            np.random.default_rng(np.random.SeedSequence((1, CONTEXT_INIT))),
         )
         for name, arr in params.arrays().items():
             assert np.array_equal(arr, getattr(fresh, name))
