@@ -5,6 +5,14 @@ Every policy reads the attack surface from `state.surface`, returns one of
 its members (or None when it is empty) and keeps only episode-local state;
 reset() is called by the episode runner with a per-episode RNG stream, so
 attacker behavior is reproducible independently of IDS noise draws.
+
+Uniform picks among n options (the random attacker's, pathfinder's
+fallback and the random defender's) go through a `UniformChooser`, which
+draws its generator's 32-bit words `CHOOSER_WORDS` at a time and gives
+the values one `rng.integers(n)` call per pick would. A generator given to
+a chooser is drawn only through it from then on: a draw made beside it
+would see the stream the chooser has already read ahead. (The mixture's
+one draw per episode comes before its base policy makes a chooser.)
 """
 
 from __future__ import annotations
@@ -59,21 +67,60 @@ class _SortedSurface:
         return self._options
 
 
-def _uniform_choice(rng: np.random.Generator, options: list[str]) -> str:
-    return options[int(rng.integers(len(options)))]
+# words a UniformChooser draws per refill
+CHOOSER_WORDS = 64
+
+
+class UniformChooser:
+    """Uniform picks from one generator. `index(n)` follows numpy's
+    `Generator.integers(n)` for n up to 2**32 (Lemire 2019, "Fast Random
+    Integer Generation in an Interval"): multiply a 32-bit word by n, and
+    take another word while the low 32 bits of the product are below
+    `(2**32 - n) % n`; the high bits are the pick. n == 1 draws nothing.
+    The words come from `rng.integers(0, 2**32, size=CHOOSER_WORDS,
+    dtype=np.uint32)`, which reads the stream's 32-bit words in the order
+    single calls would."""
+
+    __slots__ = ("_rng", "_words")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        # unused words of the last block, the next one last
+        self._words: list[int] = []
+
+    def index(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if not 1 < n <= 0x100000000:
+            raise ValueError(f"cannot choose among {n} options")
+        words = self._words
+        while True:
+            if not words:
+                words = self._words = self._rng.integers(
+                    0, 0x100000000, size=CHOOSER_WORDS, dtype=np.uint32
+                ).tolist()
+                words.reverse()
+            m = words.pop() * n
+            low = m & 0xFFFFFFFF
+            # the threshold is below n, so it is computed only when needed
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+    def choice(self, options):
+        return options[self.index(len(options))]
 
 
 class RandomAttacker(AttackerPolicy):
     kind = "random"
 
     def reset(self, graph, state, rng):
-        self._rng = rng
+        self._choose = UniformChooser(rng).choice
         self._options = _SortedSurface()
 
     def select(self, state):
         if not state.surface:
             return None
-        return _uniform_choice(self._rng, self._options(state))
+        return self._choose(self._options(state))
 
 
 class BreadthFirstAttacker(AttackerPolicy):
@@ -154,19 +201,26 @@ def attainment_costs(
     their own work plus the sum of their uncompromised parents' costs (a
     monotone relaxation, since exact AND-aware planning is intractable).
     Blocked or unreachable steps cost inf.
+
+    Sweeps repeat until one changes nothing. On a parents-first table
+    (`AttackGraph.parents_first`) the first sweep prices every step from
+    its parents' final costs, so the sweep that would confirm it is
+    skipped.
     """
     cost = {
         sid: 0.0 if sid in compromised else math.inf for sid in graph.attack_ids
     }
-    # the steps a sweep can price, each with its own work: uncompromised,
-    # not blocked by an enabled defense, with attack parents
+    ceil = math.ceil
+    # the steps a sweep can price, each with its own work (`work_steps`):
+    # uncompromised, not blocked by an enabled defense, with attack parents
     priced = [
-        (sid, parents, is_or, float(work_steps(remaining_ttc[sid])))
+        (sid, parents, is_or, float(max(1, ceil(remaining_ttc[sid]))))
         for sid, parents, is_or, defense_parents in graph.parent_table()
         if sid not in compromised and enabled.isdisjoint(defense_parents) and parents
     ]
     inf = math.inf
     get = cost.__getitem__
+    one_sweep = graph.parents_first()
     changed = True
     while changed:
         changed = False
@@ -185,6 +239,8 @@ def attainment_costs(
             if candidate < cost[sid] - 1e-9:
                 cost[sid] = candidate
                 changed = True
+        if one_sweep:
+            break
     return cost
 
 
@@ -197,7 +253,7 @@ class PathfinderAttacker(AttackerPolicy):
 
     def reset(self, graph, state, rng):
         self._graph = graph
-        self._rng = rng
+        self._choose = UniformChooser(rng).choice
         self._target: str | None = None
         self._needed: set[str] = set()
         self._costs: dict[str, float] = {}
@@ -223,7 +279,7 @@ class PathfinderAttacker(AttackerPolicy):
             self._replan(state)
             choice = self._next_on_plan(state)
         if choice is None:
-            return _uniform_choice(self._rng, self._options(state))
+            return self._choose(self._options(state))
         self._choice, self._choice_version = choice, state.surface_version
         return choice
 
@@ -292,7 +348,9 @@ class PathfinderAttacker(AttackerPolicy):
 
 class MixtureAttacker(AttackerPolicy):
     """Draws one of the four base policies uniformly at each episode reset
-    and delegates to it for the whole episode."""
+    and delegates to it for the whole episode. One instance of each base
+    policy is kept; `reset` re-initialises all of the drawn one's episode
+    state."""
 
     kind = "mixture"
 
@@ -301,10 +359,11 @@ class MixtureAttacker(AttackerPolicy):
     def __init__(self):
         self.active_kind: str | None = None
         self._active: AttackerPolicy | None = None
+        self._bases = {kind: make_attacker(kind) for kind in self.BASE_KINDS}
 
     def reset(self, graph, state, rng):
         self.active_kind = self.BASE_KINDS[int(rng.integers(len(self.BASE_KINDS)))]
-        self._active = make_attacker(self.active_kind)
+        self._active = self._bases[self.active_kind]
         self._active.reset(graph, state, rng)
 
     def select(self, state):

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .attackers import UniformChooser
 from .graph import AttackGraph
 from .engine import Observation
 from . import ppo
@@ -63,13 +64,13 @@ class NoopDefender(DefenderPolicy):
 
 class RandomDefender(DefenderPolicy):
     """Uniform over the disabled defenses plus no-op; reads only the
-    defense bits."""
+    defense bits, and draws its stream only through a `UniformChooser`."""
 
     kind = "random"
 
     def reset(self, graph, rng):
         self._defense_ids = graph.defense_ids
-        self._rng = rng
+        self._choose = UniformChooser(rng).choice
         self._bits = None
         self._options: list[str | None] = []
 
@@ -77,7 +78,7 @@ class RandomDefender(DefenderPolicy):
         if observation.defense_bits is not self._bits:
             self._bits = observation.defense_bits
             self._options = [self._defense_ids[i] for i in _disabled_indices(observation)] + [None]
-        return self._options[int(self._rng.integers(len(self._options)))]
+        return self._choose(self._options)
 
 
 class TripwireDefender(DefenderPolicy):

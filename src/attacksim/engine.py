@@ -46,14 +46,16 @@ class NoiseConfig:
             raise ValueError(f"fnr must be in [0, 1], got {self.fnr}")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Observation:
+class Observation(NamedTuple):
     """Defender's view: noisy attack-step bits plus exact defense-step bits,
     in graph index order. A defense bit of 0 is a legal enable. Two
-    observations are equal when their bits are."""
+    observations are equal when their bits are; like their arrays, they
+    are unhashable."""
 
     attack_bits: np.ndarray
     defense_bits: np.ndarray
+
+    __hash__ = None
 
     def __eq__(self, other):
         if not isinstance(other, Observation):
@@ -61,6 +63,10 @@ class Observation:
         return np.array_equal(self.attack_bits, other.attack_bits) and np.array_equal(
             self.defense_bits, other.defense_bits
         )
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def vector(self) -> np.ndarray:
         return np.concatenate((self.attack_bits, self.defense_bits), dtype=np.float64)
@@ -76,14 +82,12 @@ class SimState:
 
     `compromised` and `enabled` are the truth. `surface` (their attack
     surface), `compromised_bits` and `enabled_bits` (their 0/1 membership
-    vectors in graph index order) and `thresholds` (per attack step, the
-    IDS error rate its truth bit selects: fnr if compromised, else fpr)
-    mirror them (the thresholds also mirror `noise`). `enabled_bits` is
-    read-only and shared by every observation until the next enable, which
-    replaces it. `surface_version` counts the changes the surface may
-    have had: each enable, each compromise and each `sync_derived` adds
-    one, and agents rebuild what they derive from the surface only when it
-    moved (their `reset` forgets it, as it starts again in each episode).
+    vectors in graph index order) mirror them. `enabled_bits` is read-only
+    and shared by every observation until the next enable, which replaces
+    it. `surface_version` counts the changes the surface may have had:
+    each enable, each compromise and each `sync_derived` adds one, and
+    agents rebuild what they derive from the surface only when it moved
+    (their `reset` forgets it, as it starts again in each episode).
     `init_episode` copies the mirrors from the graph's entry snapshot and
     `step()` keeps them current; code that assigns or edits `compromised`,
     `enabled` or `noise` directly must call `sync_derived(state)`, the
@@ -93,7 +97,16 @@ class SimState:
     from `rng` `NOISE_ROWS` rows at a time; `noise_row` is the next unused
     row (`NOISE_ROWS` when the block is used up, as in a new state). Only
     `observe` advances them, so `sync_derived` neither skips nor repeats a
-    draw."""
+    draw. For those rows, `readings_block[t]` holds what each attack step
+    reads when its truth bit is t, `(u < threshold) ^ t` for its uniform
+    u: `u < fpr` for 0 and `u >= fnr` for 1. `bits_block` holds the
+    observation bits, each step's reading for its current truth, and each
+    observation's attack bits are a view of one of its rows. Rows before
+    `noise_row` have been handed out and are never written again: a
+    compromise or un-compromise in `step()` copies its own column of the
+    reading for its new truth into the rows from `noise_row` on, and
+    `sync_derived` drops the bits block (None), which the next `observe`
+    rebuilds, readings included, from the current truth and noise."""
 
     graph: AttackGraph
     noise: NoiseConfig
@@ -107,10 +120,11 @@ class SimState:
     surface: set[str] = field(init=False)
     compromised_bits: np.ndarray = field(init=False)
     enabled_bits: np.ndarray = field(init=False)
-    thresholds: np.ndarray = field(init=False)
     surface_version: int = field(init=False, default=0)
     noise_block: np.ndarray | None = field(init=False, default=None)
     noise_row: int = field(init=False, default=NOISE_ROWS)
+    readings_block: np.ndarray | None = field(init=False, default=None)
+    bits_block: np.ndarray | None = field(init=False, default=None)
 
 
 @dataclass(slots=True)
@@ -269,22 +283,16 @@ def init_episode(
     state.surface_version = 1
     state.compromised_bits = entry.compromised_bits.copy()
     state.enabled_bits = entry.enabled_bits
-    state.thresholds = _thresholds(state.compromised_bits, noise)
     return state
-
-
-def _thresholds(compromised_bits: np.ndarray, noise: NoiseConfig) -> np.ndarray:
-    """Per attack step, the IDS error rate its truth bit selects."""
-    return np.where(compromised_bits, noise.fnr, noise.fpr).astype(np.float64, copy=False)
 
 
 def sync_derived(state: SimState) -> None:
     """Rebuild every field mirrored from `state.compromised`,
-    `state.enabled` and `state.noise` (the surface, a new surface version,
-    both bit vectors and the IDS thresholds) with full scans: the rebuild
-    after direct edits, and the rule the entry snapshot is built by. The
-    noise block is left as it is. Raises ValueError on ids the graph does
-    not know."""
+    `state.enabled` and `state.noise` (the surface, a new surface version
+    and both bit vectors) with full scans, and drop the observation bits
+    block: the rebuild after direct edits, and the rule the entry snapshot
+    is built by. The noise block is left as it is. Raises ValueError on ids
+    the graph does not know."""
     graph = state.graph
     state.surface = attack_surface(graph, state.compromised, state.enabled)
     state.surface_version += 1
@@ -299,7 +307,7 @@ def sync_derived(state: SimState) -> None:
         count=graph.num_defense_steps,
     )
     state.enabled_bits.flags.writeable = False
-    state.thresholds = _thresholds(state.compromised_bits, state.noise)
+    state.bits_block = None
 
 
 def observe(state: SimState) -> Observation:
@@ -309,14 +317,41 @@ def observe(state: SimState) -> Observation:
     One uniform draw u per attack step, the next row of `state.noise_block`
     (refilled from `state.rng` when used up): a compromised step reads 1
     unless u < fnr, an uncompromised one reads 1 when u < fpr. Both are
-    `(u < threshold) ^ truth`."""
-    truth = state.compromised_bits
+    `(u < threshold) ^ truth`, computed for the whole block at once (on a
+    refill, or after `sync_derived` dropped it; see `SimState`); the attack
+    bits are a view of the handed-out row of `state.bits_block`, which no
+    later call writes."""
     row = state.noise_row
     if row == NOISE_ROWS:
-        state.noise_block = state.rng.random((NOISE_ROWS, truth.size))
+        state.noise_block = state.rng.random((NOISE_ROWS, state.compromised_bits.size))
+        state.bits_block = None
         row = 0
+    bits = state.bits_block
+    if bits is None:
+        bits = _build_bits(state)
     state.noise_row = row + 1
-    return Observation((state.noise_block[row] < state.thresholds) ^ truth, state.enabled_bits)
+    return Observation(bits[row], state.enabled_bits)
+
+
+def _build_bits(state: SimState) -> np.ndarray:
+    """Fill `state.readings_block` from the noise block and rates, and
+    `state.bits_block` from the readings and the truth."""
+    uniforms = state.noise_block
+    readings = np.empty((2,) + uniforms.shape, dtype=bool)
+    np.less(uniforms, state.noise.fpr, out=readings[0])
+    np.greater_equal(uniforms, state.noise.fnr, out=readings[1])
+    readings = state.readings_block = readings.view(np.uint8)
+    bits = state.bits_block = np.where(state.compromised_bits, readings[1], readings[0])
+    return bits
+
+
+def _set_truth(state: SimState, i: int, bit: int) -> None:
+    """Set attack step i's compromised bit, and its column of the
+    observation bits in the block's rows not yet handed out."""
+    state.compromised_bits[i] = bit
+    bits, row = state.bits_block, state.noise_row
+    if bits is not None and row < NOISE_ROWS:
+        bits[row:, i] = state.readings_block[bit, row:, i]
 
 
 def reward_of(
@@ -353,9 +388,10 @@ def step(
     come from `state.surface` as it stood when actions were chosen; the
     engine enforces both masks and keeps `state.surface` current in
     O(children of the changed steps), with `surface_version` moved on by one
-    per enable and per compromise, the compromised bits and thresholds
-    with one index write each per change, and the read-only enabled bits
-    by a fresh copy per enable, so earlier observations keep theirs.
+    per enable and per compromise, the compromised bits with one index
+    write per change (plus the changed step's column in the observation
+    bits rows not yet handed out), and the read-only enabled bits by a
+    fresh copy per enable, so earlier observations keep theirs.
     """
     graph = state.graph
     surface = state.surface
@@ -384,9 +420,7 @@ def step(
             surface.discard(child)
             if child in state.compromised:
                 state.compromised.discard(child)
-                i = graph.attack_index[child]
-                state.compromised_bits[i] = 0
-                state.thresholds[i] = state.noise.fpr
+                _set_truth(state, graph.attack_index[child], 0)
                 _recheck(state, graph.children(child))
 
     # 2) attacker works its chosen step unless the defender's move just
@@ -396,9 +430,7 @@ def step(
         state.remaining_ttc[attacker_action] -= 1.0
         if state.remaining_ttc[attacker_action] <= 0.0:
             state.compromised.add(attacker_action)
-            i = graph.attack_index[attacker_action]
-            state.compromised_bits[i] = 1
-            state.thresholds[i] = state.noise.fnr
+            _set_truth(state, graph.attack_index[attacker_action], 1)
             surface.discard(attacker_action)
             state.surface_version += 1
             _recheck(state, graph.children(attacker_action))

@@ -152,6 +152,12 @@ class AttackGraph:
         step in index order, kept by `memo`."""
         return self.memo("parent_table", _parent_table)
 
+    def parents_first(self) -> bool:
+        """Whether each row of `parent_table()` comes after the rows of all
+        its attack parents, with every id on one row; kept by `memo`.
+        Generated and bundled graphs list their steps this way."""
+        return self.memo("parents_first", _parents_first)
+
 
 def _violation_tuple(graph: AttackGraph) -> tuple[str, ...]:
     return tuple(validate(graph))
@@ -162,6 +168,15 @@ def _parent_table(graph: AttackGraph):
         (s.id, graph._attack_parents[s.id], s.logic == "or", graph._defense_parents[s.id])
         for s in graph.attack_steps
     )
+
+
+def _parents_first(graph: AttackGraph) -> bool:
+    seen: set[str] = set()
+    for sid, parents, _, _ in graph.parent_table():
+        if sid in seen or not seen.issuperset(parents):
+            return False
+        seen.add(sid)
+    return True
 
 
 def validate(graph: AttackGraph) -> list[str]:

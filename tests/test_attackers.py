@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from attacksim.graph import (
     AttackGraph,
@@ -12,13 +12,18 @@ from attacksim.graph import (
     DefenseStep,
     RewardConfig,
     attack_surface,
+    bundled_graph,
+    bundled_graph_names,
     default_rewards,
 )
+from attacksim.generate import GenConfig, generate
 from attacksim.engine import NoiseConfig, init_episode, observe, run_episode, step, sync_derived
 from attacksim import attackers as attackers_module
 from attacksim.attackers import (
     ATTACKER_KINDS,
+    CHOOSER_WORDS,
     MixtureAttacker,
+    UniformChooser,
     _SortedSurface,
     attainment_costs,
     canonical_kind,
@@ -324,6 +329,23 @@ class TestAttainmentCosts:
     def test_matches_first_form_oracle(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         g = build_random_graph(rng)
+        # the same graph with its steps listed parents-first (as built),
+        # child-first (reversed or shuffled), or with a cycle added; the
+        # last three take the sweep-until-unchanged path
+        order = data.draw(st.sampled_from(["parents_first", "reversed", "shuffled", "cyclic"]))
+        if order == "cyclic":
+            back = [(c, p) for p, c in g.edges if p in g.attack_index and p != g.entry_id]
+            assume(back)
+            g = AttackGraph(g.attack_steps, g.defense_steps, g.edges | {back[0]})
+        elif order != "parents_first":
+            steps = list(g.attack_steps)[::-1]
+            if order == "shuffled":
+                rng.shuffle(steps)
+            g = AttackGraph(tuple(steps), g.defense_steps, g.edges)
+        assert g.parents_first() == all(
+            g.attack_index[p] < g.attack_index[c] for p, c in g.edges if p in g.attack_index
+        )
+        assert g.parents_first() == (order == "parents_first") or order == "shuffled"
         ids = g.attack_ids
         compromised = {g.entry_id} | data.draw(st.sets(st.sampled_from(ids)))
         enabled = data.draw(st.sets(st.sampled_from(g.defense_ids))) if g.defense_ids else set()
@@ -335,6 +357,13 @@ class TestAttainmentCosts:
         oracle = attainment_costs_oracle(g, remaining, compromised, enabled)
         assert list(costs) == list(oracle)
         assert costs == oracle
+
+    def test_bundled_and_generated_graphs_are_parents_first(self):
+        for name in bundled_graph_names():
+            assert bundled_graph(name).parents_first(), name
+        for size in (20, 80, 200):
+            for seed in range(3):
+                assert generate(GenConfig(num_attack_steps=size, seed=seed)).parents_first()
 
 
 def diamond_graph(cost_left, cost_right):
@@ -514,6 +543,22 @@ class TestMixture:
 
         assert draws(5) == draws(5)
 
+    def test_one_instance_matches_a_fresh_one_per_episode(self):
+        # the kept base instances carry nothing from one episode into the next
+        g = generate(GenConfig(num_attack_steps=40, seed=3))
+        rewards = default_rewards(g)
+        noise = NoiseConfig(0.1, 0.1)
+        shared = MixtureAttacker()
+        kinds = set()
+        for episode in range(40):
+            kept = run_episode(g, shared, make_defender("tripwire"), noise, rewards, 5, episode)
+            kinds.add(shared.active_kind)
+            fresh = run_episode(
+                g, MixtureAttacker(), make_defender("tripwire"), noise, rewards, 5, episode
+            )
+            assert kept == fresh, episode
+        assert kinds == set(MixtureAttacker.BASE_KINDS)
+
 
 class TestActionsAlwaysOnSurface:
     @pytest.mark.parametrize("kind", ["random", "bfs", "dfs", "pathfinder", "mixture"])
@@ -614,3 +659,44 @@ class TestCachedViews:
                     break
                 if step(state, action, defender.select(observe(state))).done:
                     break
+
+
+# ranges where numpy's rule rejects often: about half and a quarter of
+# all words for the first two
+REJECTING_RANGES = (2**31 + 1, 3 * 2**30, 2**32 - 1, 2**31, 3)
+
+
+class TestUniformChooser:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ns=st.lists(
+            st.one_of(st.integers(1, 2**32), st.sampled_from((1, 2) + REJECTING_RANGES)),
+            min_size=CHOOSER_WORDS + 1,
+            max_size=3 * CHOOSER_WORDS,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_integers_on_a_twin_generator(self, seed, ns):
+        chooser = UniformChooser(np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        assert [chooser.index(n) for n in ns] == [int(twin.integers(n)) for n in ns]
+
+    @pytest.mark.parametrize("n", REJECTING_RANGES)
+    def test_rejecting_ranges_over_many_blocks(self, n):
+        chooser = UniformChooser(np.random.default_rng(n))
+        twin = np.random.default_rng(n)
+        for _ in range(4 * CHOOSER_WORDS):
+            assert chooser.index(n) == int(twin.integers(n))
+
+    def test_one_option_draws_nothing(self):
+        rng = np.random.default_rng(8)
+        before = rng.bit_generator.state
+        chooser = UniformChooser(rng)
+        assert [chooser.index(1) for _ in range(3)] == [0, 0, 0]
+        assert chooser.choice(["only"]) == "only"
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_rejects_ranges_it_cannot_draw(self, n):
+        with pytest.raises(ValueError, match="cannot choose"):
+            UniformChooser(np.random.default_rng(0)).index(n)

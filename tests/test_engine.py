@@ -229,7 +229,8 @@ class TestObserve:
                 state.noise = NoiseConfig(fpr=0.05, fnr=0.6)
             if edit:
                 sync_derived(state)
-            expected = (twin.random(g.num_attack_steps) < state.thresholds) ^ state.compromised_bits
+            thresholds = [state.noise.fnr if bit else state.noise.fpr for bit in state.compromised_bits]
+            expected = (twin.random(g.num_attack_steps) < np.array(thresholds)) ^ state.compromised_bits
             obs = observe(state)
             assert obs.attack_bits.dtype == expected.dtype
             assert np.array_equal(obs.attack_bits, expected), call
@@ -261,6 +262,70 @@ class TestObserve:
         assert pos >= 100_000 and neg >= 100_000
         assert abs(fp / neg - 0.25) < 0.01
         assert abs(fn / pos - 0.125) < 0.01
+
+
+class TestObservationBitsBlock:
+    """Observation bits are computed once per noise block; a handed-out row
+    is final, and each row holds what the IDS rule gives for the truth and
+    noise at the time it is handed out."""
+
+    def test_handed_out_rows_never_change(self):
+        rng = np.random.default_rng(14)
+        seen = set()
+        for trial in range(40):
+            g = build_random_graph(rng, max_attack=40, ttc_range=(0.5, 2.5))
+            state = init_episode(g, NoiseConfig(fpr=0.3, fnr=0.2), UNIT_REWARDS, np.random.default_rng(trial))
+            twin = np.random.default_rng(trial)
+            sample_ttc(g, twin)  # the draws init_episode made before any noise
+            handed = []
+
+            def hand_out(obs):
+                # what a per-row draw gives for the truth and noise right now
+                truth = state.compromised_bits
+                thresholds = [state.noise.fnr if bit else state.noise.fpr for bit in truth]
+                expected = (twin.random(truth.size) < np.array(thresholds)) ^ truth
+                assert np.array_equal(obs.attack_bits, expected), (trial, len(handed))
+                handed.append((obs, obs.attack_bits.copy()))
+
+            hand_out(observe(state))
+            while state.surface and state.t < 300:
+                if state.t in (9, 21):
+                    if state.t == 21:
+                        state.noise = NoiseConfig(fpr=0.05, fnr=0.6)
+                    # mid-block: the dropped bits are rebuilt for the rows left
+                    sync_derived(state)
+                    seen.add(("sync", state.t, state.noise_row))
+                defense = None
+                if state.t % 4 == 3:
+                    disabled = [d for d in g.defense_ids if d not in state.enabled]
+                    defense = (_cutting_defenses(g, state, disabled) or [None])[0]
+                before = state.compromised_bits.copy()
+                row = step(state, rng.choice(sorted(state.surface)), defense)
+                if not np.array_equal(before, state.compromised_bits):
+                    # the episode's observation index and the row in its block
+                    seen.add(("index", len(handed)))
+                    seen.add(("row", len(handed) % NOISE_ROWS))
+                    if (before > state.compromised_bits).any():
+                        seen.add("uncompromise")
+                hand_out(row.obs)
+            for obs, copy in handed:
+                assert np.array_equal(obs.attack_bits, copy), trial
+        assert {("index", 15), ("index", 16), ("row", 0), ("row", 1), ("row", 15)} <= seen
+        assert "uncompromise" in seen
+        assert ("sync", 9, 10) in seen and ("sync", 21, 6) in seen
+
+    def test_observation_value_semantics(self, four_ways_graph):
+        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=1)
+        first, second = observe(state), observe(state)
+        assert first.attack_bits is not second.attack_bits
+        assert first == second and not first != second
+        other = observe(state)
+        step(state, "recon_north", "block_east")
+        assert observe(state) != other
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(first)
+        with pytest.raises(AttributeError):
+            first.attack_bits = second.attack_bits
 
 
 class TestRewardOf:
@@ -365,13 +430,18 @@ def _cutting_defenses(graph, state, disabled):
 
 
 def _assert_bits_match_sets(graph, state):
-    """The maintained bit vectors and IDS thresholds equal a fresh scan of
-    the sets."""
+    """The maintained bit vectors equal a fresh scan of the sets, and the
+    observation bits rows not yet handed out equal the IDS rule applied to
+    their uniforms with the thresholds the truth selects."""
     truth = [sid in state.compromised for sid in graph.attack_ids]
     assert state.compromised_bits.tolist() == truth
     assert state.enabled_bits.tolist() == [did in state.enabled for did in graph.defense_ids]
     noise = state.noise
-    assert state.thresholds.tolist() == [noise.fnr if bit else noise.fpr for bit in truth]
+    thresholds = np.array([noise.fnr if bit else noise.fpr for bit in truth])
+    if state.bits_block is not None:
+        row = state.noise_row
+        expected = (state.noise_block[row:] < thresholds) ^ np.array(truth, dtype=np.uint8)
+        assert np.array_equal(state.bits_block[row:], expected)
 
 
 class TestMaintainedSurface:
@@ -695,14 +765,16 @@ def _assert_matches_rebuild(state):
     sync_derived(twin)
     assert type(state.surface) is set
     assert state.surface == twin.surface
-    for name in ("compromised_bits", "enabled_bits", "thresholds"):
+    for name in ("compromised_bits", "enabled_bits"):
         got, want = getattr(state, name), getattr(twin, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
     assert state.surface_version == twin.surface_version == 1
     assert not state.enabled_bits.flags.writeable
     assert state.compromised_bits.flags.writeable
-    assert state.thresholds.flags.writeable
+    # no observation bits yet: the first observe builds them from the
+    # thresholds the truth selects
+    assert state.bits_block is None and state.noise_row == NOISE_ROWS
 
 
 def _play(state):
