@@ -8,16 +8,15 @@ attacker the task lists, one metrics row per attacker. The `sweep`,
 
 Desk-scale defaults (100 episodes, 2 seeds, 50 learner iterations) keep every
 experiment laptop-sized; the full scale is reachable through the same knobs
-(`--episodes 500 --seeds 1,2,3 --iterations 500`). Independent cells can run
-in parallel; rows are merged in a deterministic key order so output files
-are byte-stable for a fixed config.
+(`--episodes 500 --seeds 1,2,3 --iterations 500`). `evaluate` holds one
+episode at a time. Independent cells can run in parallel, at most one worker
+per cell; rows are merged in a deterministic key order so output files are
+byte-stable for a fixed config.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -72,6 +71,7 @@ def run_episodes(
     policy: "ppo.PolicyParams | None" = None,
     mode: str = "sample",
 ) -> list[EpisodeRecord]:
+    """Every episode's full record, trajectory rows included, for callers that read rows."""
     attacker = make_attacker(attacker_kind)
     defender = make_defender(defender_kind, params=policy, mode=mode)
     return [
@@ -94,10 +94,14 @@ def evaluate(
         raise ValueError("seeds must be non-empty")
     rows = []
     for seed in seeds:
-        records = run_episodes(
-            graph, attacker, defender, noise, rewards, seed, episodes, policy=policy, mode=mode
+        attacker_agent = make_attacker(attacker)
+        defender_agent = make_defender(defender, params=policy, mode=mode)
+        records = (
+            run_episode(graph, attacker_agent, defender_agent, noise, rewards, seed, episode=ep)
+            for ep in range(episodes)
         )
-        lengths = [r.length for r in records]
+        outcomes = [(r.cumulative_reward, r.flags_fraction, r.length, r.truncated) for r in records]
+        episode_rewards, flags, lengths, truncated = zip(*outcomes)
         rows.append(
             MetricsRow(
                 experiment=experiment,
@@ -109,12 +113,12 @@ def evaluate(
                 eval_attacker=attacker,
                 defender=defender,
                 seed=seed,
-                mean_reward=float(np.mean([r.cumulative_reward for r in records])),
-                flags_fraction=float(np.mean([r.flags_fraction for r in records])),
+                mean_reward=float(np.mean(episode_rewards)),
+                flags_fraction=float(np.mean(flags)),
                 mean_len=float(np.mean(lengths)),
                 min_len=int(min(lengths)),
                 max_len=int(max(lengths)),
-                truncated=sum(r.truncated for r in records),
+                truncated=sum(truncated),
                 train_seconds=train_seconds,
             )
         )
@@ -130,26 +134,6 @@ def noise_grid(values: list[float] | tuple[float, ...]) -> list[tuple[float, flo
     if any(not 0 <= v <= 1 for v in values):
         raise ValueError("noise values must lie in [0, 1]")
     return [(fpr, fnr) for fpr in values for fnr in values if fnr <= fpr]
-
-
-def reward_ttest(rewards_a, rewards_b) -> float:
-    """Welch two-sample t-test p-value on per-episode rewards; degenerate
-    zero-variance pairs resolve by mean equality."""
-    # imported here: scipy takes about a second and 60 MB to import, and
-    # nothing else in the package needs it
-    from scipy import stats as scipy_stats
-
-    a = np.asarray(rewards_a, dtype=np.float64)
-    b = np.asarray(rewards_b, dtype=np.float64)
-    if a.std() == 0.0 and b.std() == 0.0:
-        return 1.0 if a.mean() == b.mean() else 0.0
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        # a zero-variance side is legitimate here (e.g. a defender that
-        # always ends episodes at the same cost)
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = scipy_stats.ttest_ind(a, b, equal_var=False)
-    p = float(result.pvalue)
-    return 1.0 if np.isnan(p) else p
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +182,12 @@ def _cell(task: _Task) -> list[MetricsRow]:
 def _run_cells(tasks: list[_Task], jobs: int) -> list[MetricsRow]:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        # imported here: it loads multiprocessing, ~20 ms only a parallel run needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_cell, tasks))
     else:
         chunks = [_cell(task) for task in tasks]

@@ -485,12 +485,20 @@ def save_policy(
         fh.write("\n")
 
 
+def _header_count(value, field: str, minimum: int) -> int:
+    # a JSON integer only: `true` loads as a bool, `2.0` and `1e400` as floats
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{field} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def load_policy(path) -> PolicyParams:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        num_attack, num_defense = int(doc["num_attack_steps"]), int(doc["num_defense_steps"])
-        h1, h2 = (int(h) for h in doc["hidden_layers"])
+        num_attack = _header_count(doc["num_attack_steps"], "num_attack_steps", 0)
+        num_defense = _header_count(doc["num_defense_steps"], "num_defense_steps", 0)
+        h1, h2 = (_header_count(h, f"hidden_layers[{i}]", 1) for i, h in enumerate(doc["hidden_layers"]))
         table = weight_table(num_attack, num_defense, (h1, h2))
         names = sorted(name for name, _, _ in table)
         if sorted(doc["weights"]) != names:

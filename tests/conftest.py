@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,26 @@ def reachable_oracle(graph: AttackGraph, start: str) -> set:
                 seen.add(child)
                 queue.append(child)
     return seen
+
+
+def reward_ttest(rewards_a, rewards_b) -> float:
+    """Welch two-sample t-test p-value on per-episode rewards; degenerate
+    zero-variance pairs resolve by mean equality."""
+    # imported here: scipy takes about a second and 60 MB to import, and
+    # only the tests that compare defenders need it
+    from scipy import stats as scipy_stats
+
+    a = np.asarray(rewards_a, dtype=np.float64)
+    b = np.asarray(rewards_b, dtype=np.float64)
+    if a.std() == 0.0 and b.std() == 0.0:
+        return 1.0 if a.mean() == b.mean() else 0.0
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        # a zero-variance side is legitimate here (e.g. a defender that
+        # always ends episodes at the same cost)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = scipy_stats.ttest_ind(a, b, equal_var=False)
+    p = float(result.pvalue)
+    return 1.0 if np.isnan(p) else p
 
 
 def masked_log_softmax_oracle(logits, legal):

@@ -27,7 +27,7 @@ from attacksim.engine import (
     sample_ttc,
     sync_derived,
 )
-from attacksim.experiments import noise_grid, reward_ttest, run_episodes
+from attacksim.experiments import noise_grid, run_episodes
 from attacksim.generate import GenConfig, generate
 from attacksim.graph import (
     AttackGraph,
@@ -40,7 +40,7 @@ from attacksim.graph import (
     validate,
 )
 
-from conftest import build_random_graph, surface_oracle
+from conftest import build_random_graph, reward_ttest, surface_oracle
 from test_attackers import dijkstra_work_steps
 from test_ppo import fd_gradients, make_batch, max_rel_error
 

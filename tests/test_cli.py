@@ -4,10 +4,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from attacksim.cli import main
 from attacksim.graph import load_graph_file, validate
+from attacksim.ppo import init_params, save_policy
 
 
 def run_cli(argv):
@@ -231,6 +233,25 @@ class TestTrainEvaluate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("value", ["1e400", "2.5", "2.0", "true", '"3"', "-1"])
+    @pytest.mark.parametrize(
+        "field", ["num_attack_steps", "num_defense_steps", "hidden_layers[0]", "hidden_layers[1]"]
+    )
+    def test_policy_header_counts_must_be_integers(self, tmp_path, capsys, field, value):
+        policy = tmp_path / "policy.json"
+        save_policy(init_params(2, 1, np.random.default_rng(0)), policy)  # toy's |A|, |D|
+        doc = json.loads(policy.read_text())
+        if field.startswith("hidden_layers"):
+            doc["hidden_layers"][int(field[-2])] = "@"
+        else:
+            doc[field] = "@"
+        policy.write_text(json.dumps(doc).replace('"@"', value))
+        argv = ["simulate", "--graph", "toy", "--defender", "learned", "--policy-file", str(policy)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"attacksim: error: malformed policy file {policy}: {field} must be ")
+        assert len(err.splitlines()) == 1
+
     def test_learned_without_policy_file_fails(self, capsys):
         assert run_cli(["evaluate", "--graph", "toy", "--defender", "learned"]) == 2
         assert "--policy-file" in capsys.readouterr().err
@@ -373,6 +394,18 @@ class TestExperimentCommands:
             for row in timing:
                 seconds = float(row["train_seconds"])
                 assert math.isfinite(seconds) and seconds >= 0.0
+
+    def test_huge_jobs_starts_one_worker_per_cell(self, tmp_path):
+        # values 0,1 give 3 cells, so 3 workers whatever --jobs asks for
+        argv = [
+            "sweep", "--graph", "toy", "--defenders", "random", "--values", "0,1",
+            "--seeds", "1", "--episodes", "2",
+        ]
+        for jobs in ("1", "100000000000000"):
+            assert run_cli(argv + ["--jobs", jobs, "--out-dir", str(tmp_path / jobs)]) == 0
+        for name in ("sweep.csv", "sweep_summary.csv", "sweep_timing.csv"):
+            serial, parallel = (tmp_path / jobs / name for jobs in ("1", "100000000000000"))
+            assert serial.read_bytes() == parallel.read_bytes()
 
     def test_help_lists_no_timing_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

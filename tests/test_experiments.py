@@ -1,7 +1,9 @@
+import concurrent.futures
 import math
 import pathlib
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,14 +18,15 @@ from attacksim.experiments import (
     attacker_matrix,
     evaluate,
     noise_grid,
-    reward_ttest,
     run_episodes,
     run_sweep,
     scaling_study,
     write_metrics_csv,
     write_summary_csv,
 )
-from attacksim.ppo import HyperParams
+from attacksim.ppo import HyperParams, init_params
+
+from conftest import reward_ttest
 
 TINY_HP = HyperParams(train_batch=32, minibatch=16, iterations=1)
 
@@ -102,6 +105,52 @@ class TestEvaluate:
             evaluate(**self.config(toy_graph, episodes=0))
         with pytest.raises(ValueError, match="seeds"):
             evaluate(**self.config(toy_graph, seeds=()))
+
+
+class TestEvaluateFold:
+    def test_holds_at_most_one_earlier_record(self, four_ways_graph, monkeypatch):
+        returned = []  # a weak reference to each record run_episode returned
+        real_run_episode = experiments.run_episode
+
+        def watched(*args, **kwargs):
+            assert sum(ref() is not None for ref in returned) <= 1
+            record = real_run_episode(*args, **kwargs)
+            returned.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr(experiments, "run_episode", watched)
+        rewards = default_rewards(four_ways_graph)
+        evaluate(four_ways_graph, "depth_first", "tripwire", NoiseConfig(0.1, 0.1), rewards, 5, (1, 2))
+        assert len(returned) == 10
+
+    @pytest.mark.parametrize(
+        "defender, mode",
+        [("learned", "sample"), ("learned", "greedy"), ("tripwire", "sample"), ("random", "sample")],
+    )
+    def test_rows_match_the_records(self, four_ways_graph, defender, mode):
+        graph = four_ways_graph
+        rewards = default_rewards(graph)
+        noise = NoiseConfig(0.1, 0.1)
+        policy = None
+        if defender == "learned":
+            rng = np.random.default_rng(5)
+            policy = init_params(graph.num_attack_steps, graph.num_defense_steps, rng)
+        rows = evaluate(graph, "depth_first", defender, noise, rewards, 20, (1, 2), policy, mode)
+        for row, seed in zip(rows, (1, 2), strict=True):
+            records = run_episodes(
+                graph, "depth_first", defender, noise, rewards, seed, 20, policy=policy, mode=mode
+            )
+            lengths = [r.length for r in records]
+            assert row == MetricsRow(
+                "evaluate", "fpr=0.1_fnr=0.1", 0.1, 0.1, graph.num_attack_steps, "",
+                "depth_first", defender, seed,
+                mean_reward=float(np.mean([r.cumulative_reward for r in records])),
+                flags_fraction=float(np.mean([r.flags_fraction for r in records])),
+                mean_len=float(np.mean(lengths)),
+                min_len=min(lengths),
+                max_len=max(lengths),
+                truncated=sum(r.truncated for r in records),
+            )
 
 
 class TestPairedEvaluation:
@@ -222,6 +271,34 @@ class TestSweep:
         parallel = run_sweep(toy_graph, ["random", "tripwire"], jobs=3, **kwargs)
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "jobs, values, pools",
+        [(1, (0.0, 1.0), []), (8, (0.0,), []), (2, (0.0, 1.0), [2]), (10**14, (0.0, 1.0), [3])],
+        ids=["one-job", "one-cell", "fewer-jobs-than-cells", "more-jobs-than-cells"],
+    )
+    def test_pool_never_larger_than_its_cells(self, toy_graph, monkeypatch, jobs, values, pools):
+        built = []  # max_workers of each pool built
+
+        class RecordingPool:
+            """Records its size and runs the cells in this process."""
+
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # noise values (0, 1) give 3 grid cells, (0,) gives 1
+        run_sweep(toy_graph, ["random"], values=values, episodes=2, seeds=(1,), jobs=jobs)
+        assert built == pools
+
 
 class TestAttackerMatrix:
     def test_shape_and_diagonal(self, toy_graph):
@@ -282,30 +359,18 @@ class TestAggregationAndOutput:
 
 
 class TestRewardTtest:
-    def test_distinguishes_clear_gap(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(-1.0, 0.1, size=200)
-        b = rng.normal(-5.0, 0.1, size=200)
-        assert reward_ttest(a, b) < 0.001
-
-    def test_identical_constant_samples(self):
-        assert reward_ttest([-1.0] * 50, [-1.0] * 50) == 1.0
-        assert reward_ttest([-1.0] * 50, [-2.0] * 50) == 0.0
-
-    def test_one_sided_variance(self):
-        a = [-1.0] * 100
-        rng = np.random.default_rng(1)
-        b = rng.normal(-3.0, 0.5, size=100)
-        assert reward_ttest(a, b) < 0.001
-
     def test_importing_experiments_leaves_scipy_unloaded(self):
-        # scipy costs about a second to import; only reward_ttest needs it
+        # the import budget: the runtime needs numpy only (scipy is a test
+        # dependency), and the process pool's modules load only when a run
+        # builds a pool
         src = pathlib.Path(experiments.__file__).resolve().parents[1]
         code = (
             f"import sys; sys.path.insert(0, {str(src)!r}); "
-            "import attacksim.experiments; print('scipy' in sys.modules)"
+            "import attacksim, attacksim.experiments, attacksim.cli; "
+            "print([m for m in ('scipy', 'multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
