@@ -1,9 +1,9 @@
 """Attacker policies: random, breadth-first, depth-first, pathfinder and a
 per-episode mixture of the four.
 
-Every policy reads the attack surface from `state.surface`, returns one of
-its members (or None when it is empty) and keeps only episode-local state;
-reset() is called by the episode runner with a per-episode RNG stream, so
+Every policy's `select(state)` returns one member of `state.surface` (or
+None when it is empty) and keeps only episode-local state; the episode
+runner calls `reset(graph, state, rng)` with a per-episode RNG stream, so
 attacker behavior is reproducible independently of IDS noise draws.
 
 Uniform picks among n options (the random attacker's, pathfinder's
@@ -25,12 +25,6 @@ import numpy as np
 from .graph import AttackGraph
 from .engine import SimState
 
-_ALIASES = {
-    "bfs": "breadth_first",
-    "dfs": "depth_first",
-}
-
-
 def canonical_kind(kind: str) -> str:
     kind = _ALIASES.get(kind, kind)
     if kind not in ATTACKER_KINDS:
@@ -38,18 +32,8 @@ def canonical_kind(kind: str) -> str:
     return kind
 
 
-def make_attacker(kind: str) -> "AttackerPolicy":
+def make_attacker(kind: str):
     return _CLASSES[canonical_kind(kind)]()
-
-
-class AttackerPolicy:
-    kind = "base"
-
-    def reset(self, graph: AttackGraph, state: SimState, rng: np.random.Generator) -> None:
-        raise NotImplementedError
-
-    def select(self, state: SimState) -> str | None:
-        raise NotImplementedError
 
 
 class _SortedSurface:
@@ -110,7 +94,7 @@ class UniformChooser:
         return options[self.index(len(options))]
 
 
-class RandomAttacker(AttackerPolicy):
+class RandomAttacker:
     kind = "random"
 
     def reset(self, graph, state, rng):
@@ -123,7 +107,7 @@ class RandomAttacker(AttackerPolicy):
         return self._choose(self._options(state))
 
 
-class BreadthFirstAttacker(AttackerPolicy):
+class BreadthFirstAttacker:
     """Works every step at the current discovery depth to completion before
     moving deeper; steps discovered together are ordered by a shuffle."""
 
@@ -155,7 +139,7 @@ class BreadthFirstAttacker(AttackerPolicy):
         return self._queue[0]
 
 
-class DepthFirstAttacker(AttackerPolicy):
+class DepthFirstAttacker:
     """Follows newly exposed children of the last compromise; dead ends
     backtrack to the most recently stacked alternative."""
 
@@ -202,7 +186,7 @@ def attainment_costs(
     monotone relaxation, since exact AND-aware planning is intractable).
     Blocked or unreachable steps cost inf.
 
-    Sweeps repeat until one changes nothing. On a parents-first table
+    Sweeps repeat until one changes nothing. On a parents-first graph
     (`AttackGraph.parents_first`) the first sweep prices every step from
     its parents' final costs, so the sweep that would confirm it is
     skipped.
@@ -215,7 +199,7 @@ def attainment_costs(
     # uncompromised, not blocked by an enabled defense, with attack parents
     priced = [
         (sid, parents, is_or, float(max(1, ceil(remaining_ttc[sid]))))
-        for sid, parents, is_or, defense_parents in graph.parent_table()
+        for sid, (parents, is_or, defense_parents) in graph.parent_rules.items()
         if sid not in compromised and enabled.isdisjoint(defense_parents) and parents
     ]
     inf = math.inf
@@ -244,7 +228,7 @@ def attainment_costs(
     return cost
 
 
-class PathfinderAttacker(AttackerPolicy):
+class PathfinderAttacker:
     """Full-information attacker: plans the cheapest work-step route to each
     flag from the sampled TTCs, targets flags in order of increasing path
     cost, and replans when a defense cuts the route."""
@@ -333,10 +317,10 @@ class PathfinderAttacker(AttackerPolicy):
             if sid in compromised or sid in needed:
                 continue
             needed.add(sid)
-            parents = graph.attack_parents(sid)
+            parents, is_or, _ = graph.parent_rules[sid]
             if not parents:
                 continue
-            if graph.step(sid).logic == "or":
+            if is_or:
                 best = min(
                     parents, key=lambda p: (self._costs.get(p, math.inf), p)
                 )
@@ -346,7 +330,7 @@ class PathfinderAttacker(AttackerPolicy):
         return needed
 
 
-class MixtureAttacker(AttackerPolicy):
+class MixtureAttacker:
     """Draws one of the four base policies uniformly at each episode reset
     and delegates to it for the whole episode. One instance of each base
     policy is kept; `reset` re-initialises all of the drawn one's episode
@@ -358,7 +342,6 @@ class MixtureAttacker(AttackerPolicy):
 
     def __init__(self):
         self.active_kind: str | None = None
-        self._active: AttackerPolicy | None = None
         self._bases = {kind: make_attacker(kind) for kind in self.BASE_KINDS}
 
     def reset(self, graph, state, rng):
@@ -375,3 +358,12 @@ _CLASSES = {
     for cls in (RandomAttacker, BreadthFirstAttacker, DepthFirstAttacker, PathfinderAttacker, MixtureAttacker)
 }
 ATTACKER_KINDS = tuple(_CLASSES)
+
+_ALIASES = {
+    "bfs": "breadth_first",
+    "dfs": "depth_first",
+}
+# every attacker kind, under its alias where it has one
+ATTACKER_CHOICES = tuple(
+    next((alias for alias, of in _ALIASES.items() if of == kind), kind) for kind in ATTACKER_KINDS
+)

@@ -17,8 +17,8 @@ import pathlib
 import sys
 
 from . import experiments, ppo
-from .attackers import _ALIASES, ATTACKER_KINDS, canonical_kind, make_attacker
-from .defenders import ACTION_MODES, DEFENDER_KINDS
+from .attackers import ATTACKER_CHOICES, canonical_kind, make_attacker
+from .defenders import DEFENDER_KINDS
 from .engine import NoiseConfig, write_csv, write_trajectory
 from .generate import GenConfig, GenConfigError, generate
 from .graph import (
@@ -30,10 +30,6 @@ from .graph import (
     load_graph_file,
     save_graph_file,
 )
-
-# every attacker kind, under its alias where it has one
-_ALIAS_OF = {kind: alias for alias, kind in _ALIASES.items()}
-ATTACKER_CHOICES = tuple(_ALIAS_OF.get(kind, kind) for kind in ATTACKER_KINDS)
 
 
 def _resolve_graph(ref: str):
@@ -174,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True, help="number of attack steps (multiple of 20)")
     p.add_argument("--seed", type=_parse_seed, default=1)
     p.add_argument("--out", required=True, help="output graph JSON path")
-    p.add_argument("--ttc-min", type=float, default=1.0)
-    p.add_argument("--ttc-max", type=float, default=10.0)
-    p.add_argument("--and-fraction", type=float, default=0.25)
-    p.add_argument("--extra-parent-prob", type=float, default=0.3)
+    p.add_argument("--ttc-min", type=float, default=GenConfig.ttc_mean_range[0])
+    p.add_argument("--ttc-max", type=float, default=GenConfig.ttc_mean_range[1])
+    p.add_argument("--and-fraction", type=float, default=GenConfig.and_fraction)
+    p.add_argument("--extra-parent-prob", type=float, default=GenConfig.extra_parent_prob)
     p.add_argument("--json", action="store_true", help="machine-readable summary on stdout")
 
     p = sub.add_parser("simulate", help="run episodes with chosen agents")
@@ -185,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="random")
     p.add_argument("--defender", choices=DEFENDER_KINDS, default="none")
     p.add_argument("--policy-file", help="policy parameters for --defender learned")
-    p.add_argument("--mode", choices=ACTION_MODES, default="sample", help="learned-defender action mode")
+    p.add_argument("--mode", choices=ppo.ACTION_MODES, default="sample", help="learned-defender action mode")
     _add_noise_flags(p)
     _add_reward_flags(p)
     p.add_argument("--episodes", type=int, default=10)
@@ -211,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="dfs")
     p.add_argument("--defender", choices=DEFENDER_KINDS, default="random")
     p.add_argument("--policy-file")
-    p.add_argument("--mode", choices=ACTION_MODES, default="sample")
+    p.add_argument("--mode", choices=ppo.ACTION_MODES, default="sample")
     _add_noise_flags(p)
     _add_reward_flags(p)
     p.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
@@ -301,28 +297,28 @@ def _cmd_simulate(args) -> int:
     if args.episodes < 1:
         raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
     graph = _resolve_graph(args.graph)
-    records = experiments.run_episodes(
+    records = experiments.episode_records(
         graph, args.attacker, args.defender, NoiseConfig(fpr=args.fpr, fnr=args.fnr),
         _rewards_for(graph, args), args.seed, args.episodes,
         policy=_load_policy_arg(args), mode=args.mode,
     )
-    if args.record:
-        stem = pathlib.Path(args.record)
-        for r in records:
+    # each record is dropped once read: only its CSV row and line are kept
+    outcomes, lines = [], []
+    for r in records:
+        if args.record:
+            stem = pathlib.Path(args.record)
             write_trajectory(r, stem.with_name(f"{stem.stem}_ep{r.episode:04d}{stem.suffix or '.csv'}"))
-
-    lines = [
-        f"episode {r.episode}: len={r.length} reward={r.cumulative_reward:.3f} "
-        f"flags={r.flags_fraction:.2f} truncated={r.truncated}"
-        for r in records
-    ]
+        outcomes.append((r.episode, r.length, r.cumulative_reward, r.flags_fraction, int(r.truncated)))
+        lines.append(
+            f"episode {r.episode}: len={r.length} reward={r.cumulative_reward:.3f} "
+            f"flags={r.flags_fraction:.2f} truncated={r.truncated}"
+        )
     if args.out:
-        rows = ((r.episode, r.length, r.cumulative_reward, r.flags_fraction, int(r.truncated)) for r in records)
-        write_csv(args.out, ("episode", "length", "reward", "flags_fraction", "truncated"), rows)
+        write_csv(args.out, ("episode", "length", "reward", "flags_fraction", "truncated"), outcomes)
     summary = {
-        "episodes": len(records),
-        "mean_reward": sum(r.cumulative_reward for r in records) / len(records),
-        "mean_flags_fraction": sum(r.flags_fraction for r in records) / len(records),
+        "episodes": len(outcomes),
+        "mean_reward": sum(o[2] for o in outcomes) / len(outcomes),
+        "mean_flags_fraction": sum(o[3] for o in outcomes) / len(outcomes),
     }
     _emit(args, summary, "\n".join(lines + [
         f"mean reward {summary['mean_reward']:.3f}, mean flags {summary['mean_flags_fraction']:.2f}"

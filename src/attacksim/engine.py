@@ -434,10 +434,7 @@ def step(
             surface.discard(attacker_action)
             state.surface_version += 1
             _recheck(state, graph.children(attacker_action))
-            if (
-                graph.step(attacker_action).is_flag
-                and attacker_action not in state.captured_flags
-            ):
+            if attacker_action in graph.flag_ids and attacker_action not in state.captured_flags:
                 state.captured_flags.add(attacker_action)
                 flags_now.add(attacker_action)
 

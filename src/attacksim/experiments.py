@@ -8,17 +8,18 @@ attacker the task lists, one metrics row per attacker. The `sweep`,
 
 Desk-scale defaults (100 episodes, 2 seeds, 50 learner iterations) keep every
 experiment laptop-sized; the full scale is reachable through the same knobs
-(`--episodes 500 --seeds 1,2,3 --iterations 500`). `evaluate` holds one
-episode at a time. Independent cells can run in parallel, at most one worker
-per cell; rows are merged in a deterministic key order so output files are
-byte-stable for a fixed config.
+(`--episodes 500 --seeds 1,2,3 --iterations 500`). `episode_records`
+yields each episode's record as it ends, so `evaluate` and `simulate` hold
+one episode at a time. Independent cells can run in parallel, at most one
+worker per cell; rows are merged in a deterministic key order so output
+files are byte-stable for a fixed config.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class MetricsRow:
 METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow) if f.compare)
 
 
-def run_episodes(
+def episode_records(
     graph: AttackGraph,
     attacker_kind: str,
     defender_kind: str,
@@ -70,14 +71,25 @@ def run_episodes(
     episodes: int,
     policy: "ppo.PolicyParams | None" = None,
     mode: str = "sample",
-) -> list[EpisodeRecord]:
-    """Every episode's full record, trajectory rows included, for callers that read rows."""
+) -> Iterator[EpisodeRecord]:
+    """Every episode's full record, trajectory rows included, yielded as the
+    episode ends. The attacker and the defender are built once, from their
+    kinds, and reset by each episode."""
     attacker = make_attacker(attacker_kind)
     defender = make_defender(defender_kind, params=policy, mode=mode)
-    return [
-        run_episode(graph, attacker, defender, noise, rewards, seed, episode=ep)
-        for ep in range(episodes)
-    ]
+    for ep in range(episodes):
+        yield run_episode(graph, attacker, defender, noise, rewards, seed, episode=ep)
+
+
+def run_episodes(*args, **kwargs) -> list[EpisodeRecord]:
+    """`episode_records` with the same arguments, as a list, for callers
+    that read every record."""
+    return list(episode_records(*args, **kwargs))
+
+
+def _check_episodes(episodes: int) -> None:
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
 
 
 def evaluate(
@@ -88,18 +100,12 @@ def evaluate(
 ) -> list[MetricsRow]:
     """One metrics row per seed for the (graph, attacker, defender, noise)
     cell; the keyword arguments only label the rows."""
-    if episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    _check_episodes(episodes)
     if not seeds:
         raise ValueError("seeds must be non-empty")
     rows = []
     for seed in seeds:
-        attacker_agent = make_attacker(attacker)
-        defender_agent = make_defender(defender, params=policy, mode=mode)
-        records = (
-            run_episode(graph, attacker_agent, defender_agent, noise, rewards, seed, episode=ep)
-            for ep in range(episodes)
-        )
+        records = episode_records(graph, attacker, defender, noise, rewards, seed, episodes, policy, mode)
         outcomes = [(r.cumulative_reward, r.flags_fraction, r.length, r.truncated) for r in records]
         episode_rewards, flags, lengths, truncated = zip(*outcomes)
         rows.append(
@@ -182,6 +188,8 @@ def _cell(task: _Task) -> list[MetricsRow]:
 def _run_cells(tasks: list[_Task], jobs: int) -> list[MetricsRow]:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for task in tasks:
+        _check_episodes(task.episodes)  # before any cell trains
     workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: it loads multiprocessing, ~20 ms only a parallel run needs

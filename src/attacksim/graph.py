@@ -6,6 +6,9 @@ carry a mean time-to-compromise; defense steps are root switches that, once
 enabled, permanently block their child attack steps. Graphs are immutable
 after construction and safe to share across concurrent episode runners.
 
+Each attack step's parent rule is one row of `AttackGraph.parent_rules`,
+read by the surface rule `workable` and by pathfinder's planning.
+
 Every graph rule is in `validate`; `AttackGraph.check()`, called by load,
 generate and the first episode, is the one gate for an invalid graph.
 """
@@ -79,22 +82,21 @@ class AttackGraph:
         set_(self, "flag_ids", tuple(s.id for s in self.attack_steps if s.is_flag))
         set_(self, "attack_index", {s.id: i for i, s in enumerate(self.attack_steps)})
         set_(self, "defense_index", {d.id: i for i, d in enumerate(self.defense_steps)})
-        set_(self, "_steps_by_id", {s.id: s for s in self.attack_steps})
 
-        attack_parents = {s.id: [] for s in self.attack_steps}
-        defense_parents = {s.id: [] for s in self.attack_steps}
+        # the parent rule of every attack step, in index order:
+        # id -> (attack parents, OR flag, defense parents)
+        rules = {s.id: ([], s.logic == "or", []) for s in self.attack_steps}
         children = {s.id: [] for s in self.attack_steps}
         children.update({d.id: [] for d in self.defense_steps})
         for parent, child in sorted(self.edges):
             if parent in children:
                 children[parent].append(child)
-            if child in attack_parents:
+            if child in rules:
                 if parent in self.attack_index:
-                    attack_parents[child].append(parent)
+                    rules[child][0].append(parent)
                 elif parent in self.defense_index:
-                    defense_parents[child].append(parent)
-        set_(self, "_attack_parents", {k: tuple(v) for k, v in attack_parents.items()})
-        set_(self, "_defense_parents", {k: tuple(v) for k, v in defense_parents.items()})
+                    rules[child][2].append(parent)
+        set_(self, "parent_rules", {k: (tuple(a), is_or, tuple(d)) for k, (a, is_or, d) in rules.items()})
         set_(self, "_children", {k: tuple(v) for k, v in children.items()})
 
         entries = [s.id for s in self.attack_steps if s.is_entry]
@@ -109,14 +111,11 @@ class AttackGraph:
     def num_defense_steps(self) -> int:
         return len(self.defense_steps)
 
-    def step(self, step_id: str) -> AttackStep:
-        return self._steps_by_id[step_id]
-
     def attack_parents(self, step_id: str) -> tuple[str, ...]:
-        return self._attack_parents[step_id]
+        return self.parent_rules[step_id][0]
 
     def defense_parents(self, step_id: str) -> tuple[str, ...]:
-        return self._defense_parents[step_id]
+        return self.parent_rules[step_id][2]
 
     def children(self, node_id: str) -> tuple[str, ...]:
         return self._children[node_id]
@@ -147,15 +146,10 @@ class AttackGraph:
         if violations:
             raise GraphFormatError(f"invalid graph: {list(violations)}")
 
-    def parent_table(self) -> tuple[tuple[str, tuple[str, ...], bool, tuple[str, ...]], ...]:
-        """(id, attack parents, OR flag, defense parents) of every attack
-        step in index order, kept by `memo`."""
-        return self.memo("parent_table", _parent_table)
-
     def parents_first(self) -> bool:
-        """Whether each row of `parent_table()` comes after the rows of all
-        its attack parents, with every id on one row; kept by `memo`.
-        Generated and bundled graphs list their steps this way."""
+        """Whether every attack step comes after all its attack parents in
+        index order, with no id listed twice; kept by `memo`. Generated and
+        bundled graphs list their steps this way."""
         return self.memo("parents_first", _parents_first)
 
 
@@ -163,17 +157,10 @@ def _violation_tuple(graph: AttackGraph) -> tuple[str, ...]:
     return tuple(validate(graph))
 
 
-def _parent_table(graph: AttackGraph):
-    return tuple(
-        (s.id, graph._attack_parents[s.id], s.logic == "or", graph._defense_parents[s.id])
-        for s in graph.attack_steps
-    )
-
-
 def _parents_first(graph: AttackGraph) -> bool:
     seen: set[str] = set()
-    for sid, parents, _, _ in graph.parent_table():
-        if sid in seen or not seen.issuperset(parents):
+    for sid in graph.attack_ids:
+        if sid in seen or not seen.issuperset(graph.parent_rules[sid][0]):
             return False
         seen.add(sid)
     return True
@@ -271,13 +258,13 @@ def workable(
     defense step is one of its parents. Costs O(parents of the step)."""
     if step_id in compromised:
         return False
-    parents = graph.attack_parents(step_id)
+    parents, is_or, defense_parents = graph.parent_rules[step_id]
     n_compromised = sum(1 for p in parents if p in compromised)
     if n_compromised == 0:
         return False
-    if graph.step(step_id).logic == "and" and n_compromised != len(parents):
+    if not is_or and n_compromised != len(parents):
         return False
-    return not any(d in enabled for d in graph.defense_parents(step_id))
+    return not any(d in enabled for d in defense_parents)
 
 
 def attack_surface(

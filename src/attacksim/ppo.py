@@ -1,10 +1,16 @@
-"""From-scratch policy-gradient learner for the defender.
+"""From-scratch policy-gradient learner for the defender, and the learned
+defender it trains.
 
 A two-hidden-layer tanh MLP (shared trunk, softmax policy head over the
 defenses plus no-op, linear value head) trained with the clipped surrogate
 objective, a clipped value loss, an entropy bonus and a fixed-coefficient KL
 penalty against the behavior policy. Gradients are hand-derived
 backpropagation over numpy arrays; optimization is plain minibatch SGD.
+
+`learned_select` is the one masked-policy sampler. `LearnedDefender` drives
+it in evaluation and in PPO rollouts alike, with its own legal mask and
+rng, and keeps each decision of the current episode for the update; no
+state is shared between defenders. `defenders` registers it as "learned".
 """
 
 from __future__ import annotations
@@ -12,12 +18,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import AttackGraph, RewardConfig
 from . import engine
-from .engine import NoiseConfig, write_csv
+from .engine import NoiseConfig, Observation, write_csv
+
+# how a learned defender turns its policy into an action
+ACTION_MODES = ("sample", "greedy")
 
 HIDDEN_LAYERS = (128, 128)
 
@@ -354,6 +364,82 @@ def sgd_update(
 
 
 # ---------------------------------------------------------------------------
+# the learned defender
+# ---------------------------------------------------------------------------
+
+
+class PolicyStep(NamedTuple):
+    """One decision of the masked policy: the network input, the action
+    index (|D| is no-op) and what the learner stores for it."""
+
+    obs: np.ndarray
+    action: int
+    logp: float
+    value: float
+    probs: np.ndarray
+    legal: np.ndarray
+
+
+def learned_select(
+    observation: Observation,
+    params: PolicyParams,
+    legal: np.ndarray,
+    rng: np.random.Generator,
+    mode: str,
+) -> PolicyStep:
+    """Pick an action index through the policy network, restricted to the
+    `legal` mask; `sample` draws from the masked categorical, `greedy`
+    takes the argmax (a legal action: the illegal ones have probability 0)."""
+    x = observation.vector()
+    logits, value = forward(params, x)
+    probs, logp_all = masked_log_softmax(logits, legal)
+    action = int(probs.argmax()) if mode == "greedy" else sample_action(probs, legal, rng)
+    return PolicyStep(x, action, logp_all[action], value, probs, legal)
+
+
+class LearnedDefender:
+    """The policy network's defender. Its legal mask is one entry per
+    defense in index order, legal where the bit is 0, then the always-legal
+    no-op. Every decision of the current episode is kept, in order, in
+    `decisions` for the learner."""
+
+    kind = "learned"
+
+    def __init__(self, params: PolicyParams | None, mode: str = "sample"):
+        if params is None:
+            raise ValueError("learned defender requires policy parameters")
+        if mode not in ACTION_MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {ACTION_MODES}")
+        self.params = params
+        self.mode = mode
+        self.decisions: list[PolicyStep] = []
+
+    def reset(self, graph, rng):
+        if (
+            params_dims := (self.params.num_attack_steps, self.params.num_defense_steps)
+        ) != (graph.num_attack_steps, graph.num_defense_steps):
+            raise ValueError(
+                f"policy built for |A|,|D|={params_dims} cannot drive a graph "
+                f"with |A|,|D|={(graph.num_attack_steps, graph.num_defense_steps)}"
+            )
+        # action index -> defense id; the trailing index is the no-op
+        self._action_ids = graph.defense_ids + (None,)
+        self._rng = rng
+        self._bits = None
+        self._legal = None
+        self.decisions = []
+
+    def select(self, observation):
+        if observation.defense_bits is not self._bits:
+            self._bits = observation.defense_bits
+            self._legal = np.concatenate((self._bits == 0, [True]))
+            self._legal.flags.writeable = False
+        decision = learned_select(observation, self.params, self._legal, self._rng, self.mode)
+        self.decisions.append(decision)
+        return self._action_ids[decision.action]
+
+
+# ---------------------------------------------------------------------------
 # rollout collection and the training loop
 # ---------------------------------------------------------------------------
 
@@ -371,9 +457,6 @@ def collect_batch(
     """Roll whole episodes with the current stochastic policy until at least
     hp.train_batch steps are gathered. The last step of every episode is
     terminal, whether the episode ended or hit the step cap."""
-    # imported here: defenders imports this module
-    from .defenders import LearnedDefender
-
     defender = LearnedDefender(params)
     decisions, reward_rows, done_rows = [], [], []
     episode_rewards, episode_flags = [], []
@@ -492,27 +575,48 @@ def _header_count(value, field: str, minimum: int) -> int:
     return value
 
 
+def _weight(entry, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """One weight array from its entry, which must hold the shape the header
+    implies and that many JSON numbers (not booleans), all finite."""
+    size = math.prod(shape)
+    data = entry.get("data") if isinstance(entry, dict) else None
+    if (
+        not isinstance(data, list)
+        or len(data) != size
+        or any(type(v) not in (int, float) for v in data)
+        or entry.get("shape") != list(shape)
+        or any(type(d) is not int for d in entry["shape"])
+    ):
+        raise ValueError(f'weight {name} must be {{"shape": {list(shape)}, "data": [{size} numbers]}}')
+    try:
+        array = np.array(data, dtype=np.float64).reshape(shape)
+    except OverflowError:
+        raise ValueError(f"weight {name} has an integer entry too large for a float") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"weight {name} has a non-finite entry")
+    return array
+
+
 def load_policy(path) -> PolicyParams:
+    """Read a policy file; every defect, from invalid JSON to one bad
+    weight, raises one ValueError naming the path and the field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"top-level document must be an object, got {type(doc).__name__}")
         num_attack = _header_count(doc["num_attack_steps"], "num_attack_steps", 0)
         num_defense = _header_count(doc["num_defense_steps"], "num_defense_steps", 0)
-        h1, h2 = (_header_count(h, f"hidden_layers[{i}]", 1) for i, h in enumerate(doc["hidden_layers"]))
+        hidden = doc["hidden_layers"]
+        if not isinstance(hidden, list) or len(hidden) != 2:
+            raise ValueError(f"hidden_layers must be a list of 2 integers, got {hidden!r}")
+        h1, h2 = (_header_count(h, f"hidden_layers[{i}]", 1) for i, h in enumerate(hidden))
         table = weight_table(num_attack, num_defense, (h1, h2))
         names = sorted(name for name, _, _ in table)
-        if sorted(doc["weights"]) != names:
-            raise ValueError(f"weights {sorted(doc['weights'])}, expected {names}")
-        weights = {}
-        for name, shape, _ in table:
-            entry = doc["weights"][name]
-            weights[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            if weights[name].shape != shape:
-                raise ValueError(
-                    f"weight {name} has shape {weights[name].shape}, the header implies {shape}"
-                )
-            if not np.isfinite(weights[name]).all():
-                raise ValueError(f"weight {name} has a non-finite entry")
-        return PolicyParams(num_attack_steps=num_attack, num_defense_steps=num_defense, **weights)
+        weights = doc["weights"]
+        if not isinstance(weights, dict) or sorted(weights) != names:
+            raise ValueError(f"weights must be an object with keys {names}")
+        arrays = {name: _weight(weights[name], name, shape) for name, shape, _ in table}
+        return PolicyParams(num_attack_steps=num_attack, num_defense_steps=num_defense, **arrays)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed policy file {path}: {exc}") from exc

@@ -3,9 +3,31 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from attacksim.attackers import work_steps
 from attacksim.graph import AttackGraph, AttackStep, DefenseStep, bundled_graph
+
+
+# JSON values for the file-format fuzz tests, with NaN/Infinity, integers
+# far outside the float range and the graph format's ids and logic words
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["e", "a", "d", "and", "or"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
 
 
 def build_random_graph(

@@ -3,10 +3,12 @@ import json
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+from attacksim import experiments, ppo
 from attacksim.cli import main
 from attacksim.graph import load_graph_file, validate
 from attacksim.ppo import init_params, save_policy
@@ -184,6 +186,26 @@ class TestSimulate:
         assert run_cli(["simulate", "--graph", "missing.json"]) == 2
         assert "neither a file nor a bundled graph" in capsys.readouterr().err
 
+    def test_holds_at_most_one_earlier_record(self, tmp_path, monkeypatch):
+        returned = []  # a weak reference to each record run_episode returned
+        real_run_episode = experiments.run_episode
+
+        def watched(*args, **kwargs):
+            assert sum(ref() is not None for ref in returned) <= 1
+            record = real_run_episode(*args, **kwargs)
+            returned.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr(experiments, "run_episode", watched)
+        argv = [
+            "simulate", "--graph", "four_ways", "--attacker", "dfs", "--defender", "tripwire",
+            "--episodes", "6", "--out", str(tmp_path / "episodes.csv"),
+            "--record", str(tmp_path / "traj.csv"),
+        ]
+        assert run_cli(argv) == 0
+        assert len(returned) == 6
+        assert len(list(tmp_path.glob("traj_ep*.csv"))) == 6
+
     def test_trajectory_recording(self, tmp_path):
         record = tmp_path / "traj.csv"
         code = run_cli(
@@ -330,6 +352,27 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert err.startswith("attacksim: error: jobs must be >= 1")
         assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--graph", "toy", "--defenders", "learned"],
+            ["attacker-matrix", "--graph", "toy"],
+            ["scaling", "--sizes", "20"],
+        ],
+        ids=["sweep", "attacker-matrix", "scaling"],
+    )
+    def test_no_episodes_exit_two_before_training(self, tmp_path, capsys, monkeypatch, command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking --episodes")
+
+        monkeypatch.setattr(ppo, "train", no_training)
+        out_dir = tmp_path / "out"
+        argv = command + ["--episodes", "0", "--seeds", "1", "--out-dir", str(out_dir)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "attacksim: error: episodes must be >= 1, got 0\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from attacksim.graph import (
 from attacksim.engine import NoiseConfig, init_episode
 from attacksim.generate import GenConfig, generate
 
-from conftest import build_random_graph, reachable_oracle, surface_oracle
+from conftest import JSON_LEAVES, JSON_VALUES, build_random_graph, reachable_oracle, surface_oracle
 
 
 _TTC_SUM_INF = (
@@ -289,41 +289,23 @@ class TestRewardConfig:
             RewardConfig(defense_cost=1.0, flag_cost=value)
 
 
-# JSON values, with NaN/Infinity and integers far outside the float range
-_JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(10**400), max_value=10**400),
-    st.floats(),
-    st.text(max_size=4),
-    st.sampled_from(["e", "a", "d", "and", "or"]),
-)
-_JSON = st.recursive(
-    _JSON_LEAVES,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    ),
-    max_leaves=20,
-)
 # documents with the graph format's keys, so the fuzz reaches past the
 # top-level checks into steps, edges and the graph invariants
 _ID = st.sampled_from(["e", "a", "b", "d"])
 _GRAPH_SHAPED = st.fixed_dictionaries(
     {
         "attack_steps": st.one_of(
-            _JSON,
+            JSON_VALUES,
             st.lists(
                 st.one_of(
-                    _JSON,
+                    JSON_VALUES,
                     st.fixed_dictionaries(
-                        {"id": st.one_of(_ID, _JSON)},
+                        {"id": st.one_of(_ID, JSON_VALUES)},
                         optional={
-                            "logic": st.one_of(st.sampled_from(["and", "or"]), _JSON),
-                            "ttc": _JSON_LEAVES,
-                            "flag": st.one_of(st.booleans(), _JSON),
-                            "entry": st.one_of(st.booleans(), _JSON),
+                            "logic": st.one_of(st.sampled_from(["and", "or"]), JSON_VALUES),
+                            "ttc": JSON_LEAVES,
+                            "flag": st.one_of(st.booleans(), JSON_VALUES),
+                            "entry": st.one_of(st.booleans(), JSON_VALUES),
                         },
                     ),
                 ),
@@ -333,10 +315,10 @@ _GRAPH_SHAPED = st.fixed_dictionaries(
     },
     optional={
         "defense_steps": st.one_of(
-            _JSON, st.lists(st.one_of(_JSON, st.fixed_dictionaries({"id": _ID})), max_size=2)
+            JSON_VALUES, st.lists(st.one_of(JSON_VALUES, st.fixed_dictionaries({"id": _ID})), max_size=2)
         ),
         "edges": st.one_of(
-            _JSON, st.lists(st.one_of(_JSON, st.lists(_ID, min_size=2, max_size=2)), max_size=5)
+            JSON_VALUES, st.lists(st.one_of(JSON_VALUES, st.lists(_ID, min_size=2, max_size=2)), max_size=5)
         ),
     },
 )
@@ -445,7 +427,7 @@ class TestDocumentFormat:
         with pytest.raises(GraphFormatError, match=f"graph file {re.escape(str(path))} is not UTF-8"):
             load_graph_file(path)
 
-    @given(doc=st.one_of(_JSON, _GRAPH_SHAPED))
+    @given(doc=st.one_of(JSON_VALUES, _GRAPH_SHAPED))
     @settings(max_examples=300, deadline=None)
     def test_any_json_document_loads_or_raises_graph_format_error(self, doc):
         try:

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -27,7 +28,7 @@ from attacksim.ppo import (
     train,
 )
 
-from conftest import masked_log_softmax_oracle
+from conftest import JSON_LEAVES, JSON_VALUES, masked_log_softmax_oracle
 
 
 def zero_params(num_attack=3, num_defense=2, hidden=(4, 4)):
@@ -635,6 +636,104 @@ class TestPolicyFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="malformed policy file.*weight bp has a non-finite"):
             load_policy(path)
+
+
+# a valid policy document for |A|=2, |D|=1 and hidden layers (1, 1)
+_POLICY_DOC = {
+    "num_attack_steps": 2,
+    "num_defense_steps": 1,
+    "hidden_layers": [1, 1],
+    "seed": None,
+    "hyperparams": None,
+    "weights": {
+        name: {"shape": list(shape), "data": [0.5] * math.prod(shape)}
+        for name, shape, _ in ppo.weight_table(2, 1, (1, 1))
+    },
+}
+_WEIGHT_NAMES = sorted(_POLICY_DOC["weights"])
+_HOSTILE = st.one_of(JSON_VALUES, st.lists(st.integers(-1, 3), max_size=3))
+# a data entry: any JSON leaf, with booleans and integers beyond float range
+# drawn often
+_HOSTILE_NUMBER = st.one_of(st.sampled_from([True, False, 10**400, -(10**309)]), JSON_LEAVES)
+_SITES = ["num_attack_steps", "num_defense_steps", "hidden_layers", "weights", "entry", "shape", "data", "value"]
+
+
+@st.composite
+def _policy_shaped(draw):
+    """The valid document with a hostile value put in at one or two sites:
+    a header field, the weights object, one weight's entry, shape or data
+    list, or one entry of a data list."""
+    doc = json.loads(json.dumps(_POLICY_DOC))
+    weights = doc["weights"]
+    sites = draw(st.sets(st.sampled_from(_SITES), min_size=1, max_size=2))
+    # innermost site first, so no edit lands inside a value already replaced
+    for site in reversed(_SITES):
+        if site not in sites:
+            continue
+        name = draw(st.sampled_from(_WEIGHT_NAMES))
+        if site == "value":
+            data = weights[name]["data"]
+            data[draw(st.integers(0, len(data) - 1))] = draw(_HOSTILE_NUMBER)
+        elif site in ("shape", "data"):
+            weights[name][site] = draw(_HOSTILE)
+        elif site == "entry":
+            weights[name] = draw(_HOSTILE)
+        else:
+            doc[site] = draw(_HOSTILE)
+    return doc
+
+
+class TestPolicyFileFuzz:
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc["weights"]["w1"]["data"].__setitem__(0, 10**400), "weight w1 "),
+            (lambda doc: doc.__setitem__("hidden_layers", [4]), "hidden_layers "),
+            (lambda doc: doc.__setitem__("hidden_layers", 4), "hidden_layers "),
+            (lambda doc: doc["weights"]["bp"]["data"].__setitem__(1, True), "weight bp "),
+            (lambda doc: doc["weights"].__setitem__("wv", [0.5]), "weight wv "),
+            (lambda doc: doc["weights"]["bv"].__setitem__("shape", [True]), "weight bv "),
+        ],
+        ids=["huge-integer", "one-hidden-layer", "hidden-layers-integer", "boolean-weight",
+             "entry-not-object", "boolean-shape"],
+    )
+    def test_each_defect_names_its_field(self, tmp_path, edit, field):
+        doc = json.loads(json.dumps(_POLICY_DOC))
+        edit(doc)
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^malformed policy file {re.escape(str(path))}: {field}"):
+            load_policy(path)
+
+    def test_top_level_list_names_the_document(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps([_POLICY_DOC]))
+        with pytest.raises(ValueError, match=": top-level document must be an object, got list$"):
+            load_policy(path)
+
+    def test_base_document_loads(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(_POLICY_DOC))
+        assert load_policy(path).hidden_dims == (1, 1)
+
+    @given(doc=st.one_of(JSON_VALUES, _policy_shaped()))
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_document_loads_or_raises_malformed_policy(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "policy-fuzz.json"
+        path.write_text(json.dumps(doc))
+        try:
+            params = load_policy(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"malformed policy file {path}: ")
+            return
+        # loaded: every weight is the document's list of JSON numbers
+        for name, shape, _ in ppo.weight_table(
+            params.num_attack_steps, params.num_defense_steps, params.hidden_dims
+        ):
+            data = doc["weights"][name]["data"]
+            assert all(type(v) in (int, float) for v in data)
+            assert getattr(params, name).shape == shape
+            assert getattr(params, name).ravel().tolist() == [float(v) for v in data]
 
 
 class TestHyperParamDefaults:
