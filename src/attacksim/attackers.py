@@ -1,5 +1,6 @@
-"""Attacker policies: random, breadth-first, depth-first, pathfinder and a
-per-episode mixture of the four.
+"""Attacker policies: random, breadth-first and depth-first (one frontier
+walk, taken from its front or its back), pathfinder and a per-episode
+mixture of the four.
 
 Every policy's `select(state)` returns one member of `state.surface` (or
 None when it is empty) and keeps only episode-local state; the episode
@@ -107,15 +108,13 @@ class RandomAttacker:
         return self._choose(self._options(state))
 
 
-class BreadthFirstAttacker:
-    """Works every step at the current discovery depth to completion before
-    moving deeper; steps discovered together are ordered by a shuffle."""
-
-    kind = "breadth_first"
+class _FrontierAttacker:
+    """A frontier of discovered steps, fresh ones shuffled onto the back;
+    `select` takes from the subclass's `_end` (0 front, -1 back)."""
 
     def reset(self, graph, state, rng):
         self._rng = rng
-        self._queue: deque[str] = deque()
+        self._frontier: deque[str] = deque()
         self._queued: set[str] = set()
         self._version = None
 
@@ -129,43 +128,38 @@ class BreadthFirstAttacker:
             self._version = state.surface_version
             fresh = sorted(surface - self._queued)
             self._rng.shuffle(fresh)
-            for sid in fresh:
-                self._queue.append(sid)
-                self._queued.add(sid)
+            self._frontier.extend(fresh)
+            self._queued.update(fresh)
         # entries that left the surface (compromised or blocked) are dropped
         # lazily; a step that resurfaces later counts as a new discovery
-        while self._queue and self._queue[0] not in surface:
-            self._queued.discard(self._queue.popleft())
-        return self._queue[0]
+        frontier, end = self._frontier, self._end
+        while frontier[end] not in surface:
+            self._queued.discard(frontier[end])
+            del frontier[end]
+        return frontier[end]
 
 
-class DepthFirstAttacker:
+class BreadthFirstAttacker(_FrontierAttacker):
+    """Works every step at the current discovery depth to completion before
+    moving deeper; steps discovered together are ordered by a shuffle."""
+
+    kind = "breadth_first"
+    alias = "bfs"
+    _end = 0
+    # bound here, not only inherited: perfbench's tracer wraps
+    # `cls.__dict__["select"]` on each attacker class
+    select = _FrontierAttacker.select
+
+
+class DepthFirstAttacker(_FrontierAttacker):
     """Follows newly exposed children of the last compromise; dead ends
     backtrack to the most recently stacked alternative."""
 
     kind = "depth_first"
-
-    def reset(self, graph, state, rng):
-        self._rng = rng
-        self._stack: list[str] = []
-        self._stacked: set[str] = set()
-        self._version = None
-
-    def select(self, state):
-        surface = state.surface
-        if not surface:
-            return None
-        # as in breadth-first: fresh steps appear only on a surface change
-        if state.surface_version != self._version:
-            self._version = state.surface_version
-            fresh = sorted(surface - self._stacked)
-            self._rng.shuffle(fresh)
-            for sid in fresh:
-                self._stack.append(sid)
-                self._stacked.add(sid)
-        while self._stack and self._stack[-1] not in surface:
-            self._stacked.discard(self._stack.pop())
-        return self._stack[-1]
+    alias = "dfs"
+    _end = -1
+    # bound here for the tracer, as in BreadthFirstAttacker
+    select = _FrontierAttacker.select
 
 
 def work_steps(remaining: float) -> int:
@@ -359,11 +353,6 @@ _CLASSES = {
 }
 ATTACKER_KINDS = tuple(_CLASSES)
 
-_ALIASES = {
-    "bfs": "breadth_first",
-    "dfs": "depth_first",
-}
 # every attacker kind, under its alias where it has one
-ATTACKER_CHOICES = tuple(
-    next((alias for alias, of in _ALIASES.items() if of == kind), kind) for kind in ATTACKER_KINDS
-)
+ATTACKER_CHOICES = tuple(getattr(cls, "alias", kind) for kind, cls in _CLASSES.items())
+_ALIASES = {alias: kind for alias, kind in zip(ATTACKER_CHOICES, ATTACKER_KINDS) if alias != kind}

@@ -16,6 +16,8 @@ import json
 import pathlib
 import sys
 
+import numpy as np
+
 from . import experiments, ppo
 from .attackers import ATTACKER_CHOICES, canonical_kind, make_attacker
 from .defenders import DEFENDER_KINDS
@@ -441,11 +443,37 @@ _COMMANDS = {
 }
 
 
+def _check_outputs(args) -> None:
+    """Reject an output path that could not be written, before any work: a
+    file flag's directory must exist, `--out` and `--curve` must not be
+    directories (`--record` is a stem the files are named beside), and the
+    nearest existing ancestor of `--out-dir` must be a directory. Nothing
+    is created here."""
+    for dest in ("out", "curve", "record"):
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        if not (parent := pathlib.Path(path).parent).is_dir():
+            raise ValueError(f"--{dest} {path}: {parent} is not a directory")
+        if dest != "record" and pathlib.Path(path).is_dir():
+            raise ValueError(f"--{dest} {path}: is a directory")
+    if getattr(args, "out_dir", None) is not None:
+        path = pathlib.Path(args.out_dir)
+        ancestor = next(p for p in (path, *path.parents) if p.exists())
+        if not ancestor.is_dir():
+            raise ValueError(f"--out-dir {args.out_dir}: {ancestor} is not a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # numpy's floating-point warnings would add stderr lines (forked
+        # --jobs workers inherit this state too); a diverging run still
+        # fails on the learner's own finiteness check
+        with np.errstate(all="ignore"):
+            _check_outputs(args)
+            return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         print(f"attacksim: error: {exc}", file=sys.stderr)
         return 2

@@ -428,6 +428,30 @@ class TestPathfinder:
         assert attack_surface(g, state.compromised, state.enabled) == state.surface == {"right"}
         assert attacker.select(state) == "right"
 
+    def test_replans_when_the_plan_yields_no_step(self):
+        # a direct edit un-compromises a step the plan has already crossed
+        # off, so the plan offers nothing on the surface and only a fresh
+        # plan finds the step again (the random fallback finds it by chance)
+        steps = (
+            AttackStep(id="e", is_entry=True),
+            AttackStep(id="a", ttc_mean=1.0),
+            AttackStep(id="b", ttc_mean=1.0),
+            AttackStep(id="f", ttc_mean=1.0, is_flag=True),
+        )
+        g = AttackGraph(attack_steps=steps, edges=frozenset({("e", "a"), ("a", "f"), ("e", "b")}))
+        for seed in range(40):
+            state = fresh_state(g, seed=seed)
+            attacker = make_attacker("pathfinder")
+            attacker.reset(g, state, np.random.default_rng(seed))
+            assert attacker.select(state) == "a"
+            state.compromised.add("a")
+            sync_derived(state)
+            assert attacker.select(state) == "f"
+            state.compromised.discard("a")
+            sync_derived(state)
+            assert state.surface == {"a", "b"}
+            assert attacker.select(state) == "a"
+
     def test_time_to_first_flag_matches_dijkstra(self):
         rng = np.random.default_rng(33)
         checked = 0

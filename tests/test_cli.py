@@ -1,16 +1,23 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import attacksim
 from attacksim import experiments, ppo
-from attacksim.cli import main
-from attacksim.graph import load_graph_file, validate
+from attacksim.cli import build_parser, main
+from attacksim.graph import bundled_graph, load_graph_file, validate
 from attacksim.ppo import init_params, save_policy
 
 
@@ -138,6 +145,12 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"attacksim: error: {field} must be finite and positive")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--fpr", "1.5"), ("--fnr", "-0.1")])
+    def test_noise_rate_out_of_range_exits_two(self, capsys, flag, value):
+        assert run_cli(["simulate", "--graph", "toy", "--episodes", "1", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"attacksim: error: {flag[2:]} must be in [0, 1], got {float(value)}\n"
 
     @pytest.mark.parametrize("episodes", ["0", "-2"])
     def test_non_positive_episodes_exit_two(self, episodes, capsys):
@@ -450,6 +463,20 @@ class TestExperimentCommands:
             serial, parallel = (tmp_path / jobs / name for jobs in ("1", "100000000000000"))
             assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_attacker_matrix_jobs_byte_identical(self, tmp_path):
+        argv = [
+            "attacker-matrix", "--graph", "toy", "--iterations", "1", "--train-batch", "16",
+            "--minibatch", "8", "--episodes", "1", "--seeds", "1",
+        ]
+        # a missing --out-dir is made, parents and all
+        outs = {jobs: tmp_path / jobs / "matrix" for jobs in ("1", "2")}
+        for jobs, out_dir in outs.items():
+            assert run_cli(argv + ["--jobs", jobs, "--out-dir", str(out_dir)]) == 0
+        with open(outs["1"] / "attacker_matrix.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 25  # 5 training x 5 evaluation attackers
+        for name in ("attacker_matrix.csv", "attacker_matrix_summary.csv"):
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
     def test_help_lists_no_timing_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(["sweep", "--help"])
@@ -486,6 +513,196 @@ class TestExperimentCommands:
         with open(out_dir / "scaling.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2  # learned + tripwire
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command worked before its output paths were checked")
+
+
+class TestOutputsCheckedFirst:
+    @pytest.mark.parametrize("parent", ["nodir", "afile"])
+    @pytest.mark.parametrize(
+        "argv, flag, work",
+        [
+            (["generate", "--size", "20"], "--out", "attacksim.cli.generate"),
+            (["simulate", "--graph", "toy"], "--out", "attacksim.experiments.run_episode"),
+            (["simulate", "--graph", "toy"], "--record", "attacksim.experiments.run_episode"),
+            (["train", "--graph", "toy"], "--out", "attacksim.ppo.train"),
+            (["train", "--graph", "toy", "--out", "p.json"], "--curve", "attacksim.ppo.train"),
+            (["evaluate", "--graph", "toy"], "--out", "attacksim.experiments.run_episode"),
+        ],
+        ids=["generate", "simulate-out", "simulate-record", "train-out", "train-curve", "evaluate"],
+    )
+    def test_file_outside_a_directory_exits_two_before_work(
+        self, tmp_path, monkeypatch, capsys, argv, flag, work, parent
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(work, _no_work)
+        pathlib.Path("afile").write_text("")
+        path = f"{parent}/out.csv"
+        assert run_cli(argv + [flag, path]) == 2
+        assert capsys.readouterr().err == f"attacksim: error: {flag} {path}: {parent} is not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    @pytest.mark.parametrize(
+        "argv, flag, work",
+        [
+            (["generate", "--size", "20"], "--out", "attacksim.cli.generate"),
+            (["simulate", "--graph", "toy"], "--out", "attacksim.experiments.run_episode"),
+            (["train", "--graph", "toy", "--out", "p.json"], "--curve", "attacksim.ppo.train"),
+            (["evaluate", "--graph", "toy"], "--out", "attacksim.experiments.run_episode"),
+        ],
+        ids=["generate", "simulate", "train-curve", "evaluate"],
+    )
+    def test_directory_as_output_file_exits_two_before_work(self, tmp_path, monkeypatch, capsys, argv, flag, work):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(work, _no_work)
+        pathlib.Path("adir").mkdir()
+        assert run_cli(argv + [flag, "adir"]) == 2
+        assert capsys.readouterr().err == f"attacksim: error: {flag} adir: is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+    def test_record_stem_may_name_a_directory(self, tmp_path, monkeypatch):
+        # the trajectories are written beside the stem, not into it
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("adir").mkdir()
+        assert run_cli(["simulate", "--graph", "toy", "--episodes", "1", "--record", "adir"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "adir_ep0000.csv"]
+
+    @pytest.mark.parametrize("out_dir", ["afile", "afile/out", "afile/out/deeper"])
+    def test_out_dir_below_a_file_exits_two_before_work(self, tmp_path, monkeypatch, capsys, out_dir):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("attacksim.experiments._run_cells", _no_work)
+        pathlib.Path("afile").write_text("")
+        argv = ["sweep", "--graph", "toy", "--values", "0,0.25", "--seeds", "1", "--out-dir", out_dir]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"attacksim: error: --out-dir {out_dir}: afile is not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def _run_in_subprocess(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(attacksim.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "attacksim.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+# a learner that overflows in its first update
+DIVERGING = ["--iterations", "1", "--train-batch", "1", "--minibatch", "1", "--lr", "1e308"]
+
+
+class TestOneStderrLine:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--graph", "toy", "--out", "p.json"],
+            # the two learned cells train in forked workers
+            [
+                "sweep", "--graph", "toy", "--defenders", "learned", "--values", "0,1",
+                "--seeds", "1", "--episodes", "1", "--jobs", "2", "--out-dir", "out",
+            ],
+        ],
+        ids=["train", "sweep-two-workers"],
+    )
+    def test_diverging_training_prints_only_its_error(self, tmp_path, argv):
+        # in a subprocess, since the suite's warning filter turns numpy's
+        # warnings into exceptions here
+        result = _run_in_subprocess(argv + DIVERGING, tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("attacksim: error: non-finite loss in PPO update; diagnostics: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+# values no flag may turn into a traceback: empty, non-finite, beyond the
+# float range, negative and non-ASCII
+HOSTILE = ("", "nan", "inf", "-inf", "1e400", "-1", "-0.5", "\u00fc", "\u65e5\u672c")
+# (legal, hostile) values per flag; legal ones keep every run short: counts
+# of 1-2, graphs of at most 40 steps, no worker pool, lists of at most 2
+# entries. 10**30 goes only where it starts no long run: floats and seeds.
+FLAG_VALUES = {
+    "--episodes": (("1", "2"), ("0", "1.5") + HOSTILE),
+    "--iterations": (("0", "1", "2"), ("1.5",) + HOSTILE),
+    "--train-batch": (("1", "2"), ("0", "1.5") + HOSTILE),
+    "--minibatch": (("1", "2"), ("0", "1.5") + HOSTILE),
+    "--size": (("20", "40"), ("0", "30", "-20") + HOSTILE),
+    "--sizes": (("20",), ("30", "0", ",", "20,20", "20,x") + HOSTILE),
+    "--jobs": (("1",), ("0", "-1")),
+    "--values": (("0", "0.25", "0,1"), ("1.5", "1,0", "0,0", "0,nan", ",") + HOSTILE),
+    "--seeds": (("1", str(10**30)), ("1,1", "1,-1", ",") + HOSTILE),
+    "--defenders": (("random", "tripwire,learned", "none"), ("bogus", "random,random", ",") + HOSTILE),
+    "--graph": (("toy",), ("nograph", "g.json") + HOSTILE),
+    "--policy-file": (("toy_policy.json",), ("nofile.json", "g.json") + HOSTILE),
+    "--out": (("o.csv", "\u00fc.json"), ("nodir/o.csv", "afile/o.csv", "afile", ".") + HOSTILE),
+    "--out-dir": (("d", "d/deeper", "\u00fc"), ("afile/d", "afile") + HOSTILE),
+}
+FLAG_VALUES["--curve"] = FLAG_VALUES["--record"] = FLAG_VALUES["--out"]
+FLOAT_VALUES = (("0", "0.1", "0.5", "1"), ("1.5", "1e308", "1e-300", str(10**30)) + HOSTILE)
+SEED_VALUES = (("0", "1", str(10**30)), (str(2**64),) + HOSTILE)
+
+
+def _flag_values(flag: str, action) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    if flag in FLAG_VALUES:
+        return FLAG_VALUES[flag]
+    if action.choices is not None:
+        return tuple(action.choices), ("bogus",) + HOSTILE
+    return FLOAT_VALUES if action.type is float else SEED_VALUES
+
+
+# flags always given, so that no run falls back to a long default
+_ALWAYS = {"--episodes", "--iterations", "--train-batch", "--minibatch", "--size", "--sizes", "--values", "--seeds"}
+
+
+# each subcommand's parser, by name
+SUBPARSERS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+
+@st.composite
+def cli_argvs(draw):
+    """One subcommand's argv built from its parser's own actions: legal
+    values except on at most two flags, which get hostile ones."""
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    actions = [a for a in SUBPARSERS[command]._actions if not isinstance(a, argparse._HelpAction)]
+    hostile = draw(st.sets(st.sampled_from([a.option_strings[0] for a in actions]), max_size=2))
+    argv = [command]
+    for action in actions:
+        flag = action.option_strings[0]
+        if not (action.required or flag in _ALWAYS or flag in hostile or draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        legal, bad = _flag_values(flag, action)
+        argv.append(f"{flag}={draw(st.sampled_from(bad if flag in hostile else legal))}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """The inputs the fuzzed paths name; every example writes here too."""
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "afile").write_text("")
+    (path / "g.json").write_text("{}")
+    toy = bundled_graph("toy")
+    params = init_params(toy.num_attack_steps, toy.num_defense_steps, np.random.default_rng(0))
+    save_policy(params, path / "toy_policy.json")
+    return path
+
+
+class TestArgvFuzz:
+    @given(argv=cli_argvs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_command_exits_zero_or_two_with_one_stderr_line(self, fuzz_dir, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.chdir(fuzz_dir), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 2), (argv, err.getvalue())
+        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
 
 
 class TestEntryPoint:

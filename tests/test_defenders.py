@@ -202,6 +202,14 @@ class TestLearnedDefender:
         with pytest.raises(ValueError, match="policy parameters"):
             make_defender("learned")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'argmax'"):
+            ppo.LearnedDefender(zero_policy(two_defense_graph()), mode="argmax")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown defender kind 'bogus'"):
+            make_defender("bogus")
+
     @pytest.mark.parametrize("mode", ["sample", "greedy"])
     def test_records_each_decision_of_the_episode(self, four_ways_graph, mode):
         g = four_ways_graph

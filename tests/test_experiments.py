@@ -11,7 +11,7 @@ import pytest
 
 from attacksim.graph import AttackGraph, AttackStep, DefenseStep, default_rewards
 from attacksim.engine import NoiseConfig
-from attacksim import engine, experiments
+from attacksim import engine, experiments, ppo
 from attacksim.experiments import (
     MetricsRow,
     aggregate_rows,
@@ -264,6 +264,14 @@ class TestSweep:
         assert math.isfinite(rows[0].train_seconds) and rows[0].train_seconds >= 0.0
         assert replace(rows[0], train_seconds=rows[0].train_seconds + 1.0) == rows[0]
         assert "train_seconds" not in experiments.METRICS_COLUMNS
+
+    def test_unknown_defender_rejected_before_training(self, toy_graph, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the defenders")
+
+        monkeypatch.setattr(ppo, "train", no_training)
+        with pytest.raises(ValueError, match="unknown defender 'bogus'"):
+            run_sweep(toy_graph, ["learned", "bogus"], values=(0.0,), episodes=1, seeds=(1,), hp=TINY_HP)
 
     def test_jobs_parallel_matches_serial(self, toy_graph):
         kwargs = dict(values=(0.0, 1.0), episodes=4, seeds=(1, 2), hp=TINY_HP)
