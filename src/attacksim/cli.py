@@ -444,11 +444,14 @@ _COMMANDS = {
 
 
 def _check_outputs(args) -> None:
-    """Reject an output path that could not be written, before any work: a
-    file flag's directory must exist, `--out` and `--curve` must not be
-    directories (`--record` is a stem the files are named beside), and the
-    nearest existing ancestor of `--out-dir` must be a directory. Nothing
-    is created here."""
+    """Reject an output path that could not be written, before any work: no
+    path may be empty, a file flag's directory must exist, `--out` and
+    `--curve` must not be directories (`--record` is a stem the files are
+    named beside), and the nearest existing ancestor of `--out-dir` must be
+    a directory. Nothing is created here."""
+    for dest in ("out", "curve", "record", "out_dir"):
+        if getattr(args, dest, None) == "":
+            raise ValueError(f"--{dest.replace('_', '-')}: empty path")
     for dest in ("out", "curve", "record"):
         path = getattr(args, dest, None)
         if path is None:

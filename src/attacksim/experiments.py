@@ -87,6 +87,34 @@ def run_episodes(*args, **kwargs) -> list[EpisodeRecord]:
     return list(episode_records(*args, **kwargs))
 
 
+def finite_mean(values) -> float:
+    """`np.mean` of the values, bit for bit, wherever that is finite. Where
+    it overflows while every value is finite, the mean of the values scaled
+    down by a power of two (so no partial sum overflows), scaled back up
+    and kept within the values' range, where the true mean lies."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean()
+        if not np.isfinite(mean) and np.isfinite(values).all():
+            k = len(values).bit_length()
+            mean = np.clip(np.ldexp(np.ldexp(values, -k).mean(), k), values.min(), values.max())
+    return float(mean)
+
+
+def finite_std(values) -> float:
+    """The sample standard deviation (ddof 1) as `np.std` gives it wherever
+    that is finite. Where it overflows while every value is finite, it is
+    taken of the values scaled down by a power of two under which no
+    square overflows, and scaled back up: inf only if the true value is."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = values.std(ddof=1)
+        if not np.isfinite(std) and np.isfinite(values).all():
+            k = 512 + len(values).bit_length()
+            std = np.ldexp(np.ldexp(values, -k).std(ddof=1), k)
+    return float(std)
+
+
 def _check_episodes(episodes: int) -> None:
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -119,7 +147,7 @@ def evaluate(
                 eval_attacker=attacker,
                 defender=defender,
                 seed=seed,
-                mean_reward=float(np.mean(episode_rewards)),
+                mean_reward=finite_mean(episode_rewards),
                 flags_fraction=float(np.mean(flags)),
                 mean_len=float(np.mean(lengths)),
                 min_len=int(min(lengths)),
@@ -324,8 +352,8 @@ def aggregate_rows(rows: list[MetricsRow]) -> list[dict]:
         values = (
             *key,
             len(cell_rows),
-            float(rewards.mean()),
-            float(rewards.std(ddof=1)) if spread else 0.0,
+            finite_mean(rewards),
+            finite_std(rewards) if spread else 0.0,
             float(flags.mean()),
             float(flags.std(ddof=1)) if spread else 0.0,
             float(np.mean([r.mean_len for r in cell_rows])),

@@ -8,9 +8,19 @@ penalty against the behavior policy. Gradients are hand-derived
 backpropagation over numpy arrays; optimization is plain minibatch SGD.
 
 `learned_select` is the one masked-policy sampler. `LearnedDefender` drives
-it in evaluation and in PPO rollouts alike, with its own legal mask and
-rng, and keeps each decision of the current episode for the update; no
-state is shared between defenders. `defenders` registers it as "learned".
+it in evaluation and in PPO rollouts alike, with its own legal mask, rng
+and memo, and keeps each decision of the current episode for the update;
+no state is shared between defenders. `defenders` registers it as
+"learned".
+
+The memo holds, for up to `MEMO_ROWS` distinct observations, everything
+deterministic about the policy's decision on it, so the network runs once
+per distinct observation while a defender holds one policy; each decision
+still draws its one uniform, and every decision and output bit is the same
+as without the memo. It belongs to the `PolicyParams` object it was built
+for: assign a new object rather than edit the held arrays in place, which
+the memo would not see. Rollouts bootstrap an episode cut at the step cap
+from the value of its last observation.
 """
 
 from __future__ import annotations
@@ -30,6 +40,9 @@ from .engine import NoiseConfig, Observation, write_csv
 ACTION_MODES = ("sample", "greedy")
 
 HIDDEN_LAYERS = (128, 128)
+
+# distinct observations a learned defender keeps the policy's rows for
+MEMO_ROWS = 4096
 
 
 @dataclass
@@ -175,9 +188,15 @@ def masked_entropy(probs: np.ndarray, logp: np.ndarray) -> np.ndarray:
 def sample_action(probs: np.ndarray, legal: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an action index from a masked categorical; never returns an
     illegal action even under cumulative-sum float edge cases."""
+    return _draw(probs.cumsum(), legal, rng)
+
+
+def _draw(cumulative: np.ndarray, legal: np.ndarray, rng: np.random.Generator) -> int:
+    """The one draw rule: one `rng.random()` against the cumulative
+    probabilities, falling back to the last legal index."""
     r = float(rng.random())
-    action = int(probs.cumsum().searchsorted(r, side="right"))
-    if action >= probs.shape[0] or not legal[action]:
+    action = int(cumulative.searchsorted(r, side="right"))
+    if action >= cumulative.shape[0] or not legal[action]:
         action = int(np.flatnonzero(legal)[-1])
     return action
 
@@ -204,8 +223,10 @@ class TrajectoryBatch:
     def subset(self, idx: np.ndarray) -> "TrajectoryBatch":
         return TrajectoryBatch(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
-    def finalize(self, gamma: float, gae_lambda: float) -> None:
-        adv, ret = gae_advantages(self.rewards, self.values_old, self.dones, gamma, gae_lambda)
+    def finalize(self, gamma: float, gae_lambda: float, bootstrap: np.ndarray | None = None) -> None:
+        adv, ret = gae_advantages(
+            self.rewards, self.values_old, self.dones, gamma, gae_lambda, bootstrap
+        )
         self.returns = ret
         std = adv.std()
         self.advantages = (adv - adv.mean()) / (std if std > 1e-8 else 1.0)
@@ -217,16 +238,19 @@ def gae_advantages(
     dones: np.ndarray,
     gamma: float,
     gae_lambda: float,
+    bootstrap: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generalized advantage recursion truncated at episode boundaries;
-    the batch must consist of whole episodes (its last step is terminal).
+    the batch must consist of whole episodes (its last step is `done`).
+    After a `done` row t the next value is `bootstrap[t]`: V(s_T) for an
+    episode cut at the step cap, 0 (the default) for one that ended.
     Returns (advantages, returns) with returns = advantages + values."""
     n = len(rewards)
     advantages = np.zeros(n, dtype=np.float64)
     running = 0.0
     for t in range(n - 1, -1, -1):
         if dones[t]:
-            next_value = 0.0
+            next_value = 0.0 if bootstrap is None else bootstrap[t]
             running = 0.0
         else:
             next_value = values[t + 1]
@@ -380,28 +404,66 @@ class PolicyStep(NamedTuple):
     legal: np.ndarray
 
 
+def _policy_row(x: np.ndarray, params: PolicyParams, legal: np.ndarray) -> np.ndarray:
+    """Everything deterministic about the decision on one network input, in
+    one read-only float64 array: with n = |D|+1 actions, `probs`, `logp_all`
+    and their cumulative sums (n entries each), then the value and the
+    greedy action."""
+    logits, value = forward(params, x)
+    probs, logp_all = masked_log_softmax(logits, legal)
+    row = np.concatenate((probs, logp_all, probs.cumsum(), (value, probs.argmax())))
+    row.flags.writeable = False
+    return row
+
+
 def learned_select(
     observation: Observation,
     params: PolicyParams,
     legal: np.ndarray,
     rng: np.random.Generator,
     mode: str,
+    memo: dict | None = None,
 ) -> PolicyStep:
     """Pick an action index through the policy network, restricted to the
-    `legal` mask; `sample` draws from the masked categorical, `greedy`
-    takes the argmax (a legal action: the illegal ones have probability 0)."""
+    `legal` mask; `sample` draws one `rng.random()` from the masked
+    categorical, `greedy` takes the argmax (a legal action: the illegal
+    ones have probability 0) and draws nothing.
+
+    With a `memo` (a dict kept for this one `params` object, whose arrays
+    must not change while it is kept), the network runs once per distinct
+    observation: the rows of the first `MEMO_ROWS` are kept, keyed by the
+    observation's bits, and a hit runs no `forward`. `legal` must then be
+    the mask of the observation's defense bits, which the key covers. The
+    step is the same, bit for bit, with a memo or without; its `probs` is a
+    read-only view of the row."""
     x = observation.vector()
-    logits, value = forward(params, x)
-    probs, logp_all = masked_log_softmax(logits, legal)
-    action = int(probs.argmax()) if mode == "greedy" else sample_action(probs, legal, rng)
-    return PolicyStep(x, action, logp_all[action], value, probs, legal)
+    if memo is None:
+        row = _policy_row(x, params, legal)
+    else:
+        key = observation.attack_bits.tobytes() + observation.defense_bits.tobytes()
+        row = memo.get(key)
+        if row is None:
+            row = _policy_row(x, params, legal)
+            if len(memo) < MEMO_ROWS:
+                memo[key] = row
+    n = legal.shape[0]
+    if mode == "greedy":
+        action = int(row[3 * n + 1])
+    else:
+        action = _draw(row[2 * n : 3 * n], legal, rng)
+    return PolicyStep(x, action, row[n + action], float(row[3 * n]), row[:n], legal)
 
 
 class LearnedDefender:
     """The policy network's defender. Its legal mask is one entry per
     defense in index order, legal where the bit is 0, then the always-legal
     no-op. Every decision of the current episode is kept, in order, in
-    `decisions` for the learner."""
+    `decisions` for the learner.
+
+    The defender keeps one memo of policy rows (see `learned_select`) for
+    the `params` object it holds, and starts a fresh one when `params` is
+    assigned another object. Edits made in place to the held arrays are not
+    seen: assign a new `PolicyParams` instead."""
 
     kind = "learned"
 
@@ -413,6 +475,8 @@ class LearnedDefender:
         self.params = params
         self.mode = mode
         self.decisions: list[PolicyStep] = []
+        self._memo_params = params
+        self._memo: dict[bytes, np.ndarray] = {}
 
     def reset(self, graph, rng):
         if (
@@ -430,11 +494,15 @@ class LearnedDefender:
         self.decisions = []
 
     def select(self, observation):
+        if self.params is not self._memo_params:
+            self._memo_params, self._memo = self.params, {}
         if observation.defense_bits is not self._bits:
             self._bits = observation.defense_bits
             self._legal = np.concatenate((self._bits == 0, [True]))
             self._legal.flags.writeable = False
-        decision = learned_select(observation, self.params, self._legal, self._rng, self.mode)
+        decision = learned_select(
+            observation, self.params, self._legal, self._rng, self.mode, self._memo
+        )
         self.decisions.append(decision)
         return self._action_ids[decision.action]
 
@@ -456,9 +524,10 @@ def collect_batch(
 ) -> tuple[TrajectoryBatch, dict]:
     """Roll whole episodes with the current stochastic policy until at least
     hp.train_batch steps are gathered. The last step of every episode is
-    terminal, whether the episode ended or hit the step cap."""
+    `done`; an episode cut at the step cap is bootstrapped from the value of
+    its last observation, computed without drawing from any stream."""
     defender = LearnedDefender(params)
-    decisions, reward_rows, done_rows = [], [], []
+    decisions, reward_rows, done_rows, bootstrap_rows = [], [], [], []
     episode_rewards, episode_flags = [], []
     episode = first_episode
     while len(reward_rows) < hp.train_batch:
@@ -469,6 +538,8 @@ def collect_batch(
         decisions.extend(defender.decisions)
         reward_rows.extend(row.reward for row in record.steps)
         done_rows.extend([False] * (record.length - 1) + [True])
+        last_value = forward(params, record.steps[-1].obs.vector())[1] if record.truncated else 0.0
+        bootstrap_rows.extend([0.0] * (record.length - 1) + [last_value])
         episode_rewards.append(record.cumulative_reward)
         episode_flags.append(record.flags_fraction)
         episode += 1
@@ -483,7 +554,7 @@ def collect_batch(
         legal=np.array([d.legal for d in decisions], dtype=bool),
         probs_old=np.array([d.probs for d in decisions], dtype=np.float64),
     )
-    batch.finalize(hp.gamma, hp.gae_lambda)
+    batch.finalize(hp.gamma, hp.gae_lambda, np.array(bootstrap_rows, dtype=np.float64))
     stats = {
         "episodes": episode - first_episode,
         "mean_episode_reward": float(np.mean(episode_rewards)),

@@ -235,6 +235,16 @@ class TestSimulate:
 
 
 class TestTrainEvaluate:
+    def test_evaluate_mean_reward_finite_at_flag_cost_1e308(self, tmp_path):
+        out = tmp_path / "e.csv"
+        argv = ["evaluate", "--graph", "toy", "--defender", "none", "--episodes", "2", "--seeds", "1",
+                "--flag-cost", "1e308", "--out", str(out)]
+        assert run_cli(argv) == 0
+        with open(out) as fh:
+            (row,) = csv.DictReader(fh)
+        assert math.isfinite(float(row["mean_reward"]))
+        assert float(row["mean_reward"]) < -1e307
+
     def test_train_then_evaluate_learned(self, tmp_path, capsys):
         policy = tmp_path / "policy.json"
         curve = tmp_path / "curve.csv"
@@ -561,6 +571,26 @@ class TestOutputsCheckedFirst:
         assert run_cli(argv + [flag, "adir"]) == 2
         assert capsys.readouterr().err == f"attacksim: error: {flag} adir: is a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+    @pytest.mark.parametrize(
+        "argv, flag, work",
+        [
+            (["generate", "--size", "20"], "--out", "attacksim.cli.generate"),
+            (["simulate", "--graph", "toy"], "--out", "attacksim.experiments.run_episode"),
+            (["simulate", "--graph", "toy"], "--record", "attacksim.experiments.run_episode"),
+            (["train", "--graph", "toy"], "--out", "attacksim.ppo.train"),
+            (["train", "--graph", "toy", "--out", "p.json"], "--curve", "attacksim.ppo.train"),
+            (["evaluate", "--graph", "toy"], "--out", "attacksim.experiments.run_episode"),
+            (["sweep", "--graph", "toy"], "--out-dir", "attacksim.experiments._run_cells"),
+        ],
+        ids=["generate", "simulate-out", "simulate-record", "train-out", "train-curve", "evaluate", "sweep"],
+    )
+    def test_empty_path_exits_two_before_work(self, tmp_path, monkeypatch, capsys, argv, flag, work):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(work, _no_work)
+        assert run_cli(argv + [flag, ""]) == 2
+        assert capsys.readouterr().err == f"attacksim: error: {flag}: empty path\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_record_stem_may_name_a_directory(self, tmp_path, monkeypatch):
         # the trajectories are written beside the stem, not into it

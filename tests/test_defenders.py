@@ -20,7 +20,7 @@ from attacksim.engine import (
     step,
     sync_derived,
 )
-from attacksim.attackers import make_attacker
+from attacksim.attackers import ATTACKER_KINDS, make_attacker
 from attacksim.defenders import _disabled_indices, make_defender
 from attacksim import ppo
 
@@ -295,3 +295,78 @@ class TestCachedViews:
                 if row.done:
                     break
                 obs = row.obs
+
+
+class PlainLearned(ppo.LearnedDefender):
+    """The learned defender without a memo: every decision is computed
+    afresh by `learned_select(..., memo=None)`."""
+
+    def select(self, observation):
+        legal = np.concatenate((observation.defense_bits == 0, [True]))
+        decision = ppo.learned_select(observation, self.params, legal, self._rng, self.mode)
+        self.decisions.append(decision)
+        return self._action_ids[decision.action]
+
+
+def decision_bits(decision):
+    return (
+        decision.action,
+        type(decision.logp), np.float64(decision.logp).tobytes(),
+        type(decision.value), np.float64(decision.value).tobytes(),
+        decision.probs.dtype, decision.probs.tobytes(),
+        decision.obs.dtype, decision.obs.tobytes(),
+        decision.legal.tolist(),
+    )
+
+
+class TestPolicyMemo:
+    @pytest.mark.parametrize("memo_rows", [ppo.MEMO_ROWS, 3], ids=["bound", "full-at-3"])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_memoised_defender_matches_the_plain_sampler(self, memo_rows, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        noise = NoiseConfig(*[data.draw(st.sampled_from([0.0, 0.1, 1.0]))] * 2)
+        mode = data.draw(st.sampled_from(ppo.ACTION_MODES))
+        kind = data.draw(st.sampled_from(ATTACKER_KINDS))
+        rng = np.random.default_rng(seed)
+        g = build_random_graph(rng, max_attack=8, max_defense=3)
+        rewards = default_rewards(g)
+
+        def new_policy():
+            return ppo.init_params(g.num_attack_steps, g.num_defense_steps, rng)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ppo, "MEMO_ROWS", memo_rows)
+            params = new_policy()
+            memoised, plain = ppo.LearnedDefender(params, mode), PlainLearned(params, mode)
+            for episode in range(12):
+                if episode in (4, 8):
+                    # a new policy object: the memo must start again
+                    memoised.params = plain.params = new_policy()
+                a = run_episode(g, make_attacker(kind), memoised, noise, rewards, seed, episode=episode)
+                b = run_episode(g, make_attacker(kind), plain, noise, rewards, seed, episode=episode)
+                assert [decision_bits(d) for d in memoised.decisions] == [
+                    decision_bits(d) for d in plain.decisions
+                ]
+                assert memoised._rng.bit_generator.state == plain._rng.bit_generator.state
+                assert [(r.defender_action, r.reward) for r in a.steps] == [
+                    (r.defender_action, r.reward) for r in b.steps
+                ]
+                assert len(memoised._memo) <= memo_rows
+
+    @pytest.mark.parametrize("mode", ppo.ACTION_MODES)
+    def test_forward_runs_once_per_distinct_observation(self, four_ways_graph, mode, monkeypatch):
+        g = four_ways_graph
+        calls = []
+        forward = ppo.forward
+        monkeypatch.setattr(ppo, "forward", lambda params, x: calls.append(x) or forward(params, x))
+        params = ppo.init_params(g.num_attack_steps, g.num_defense_steps, np.random.default_rng(7))
+        defender = ppo.LearnedDefender(params, mode)
+        attacker = make_attacker("mixture")
+        steps = sum(
+            run_episode(g, attacker, defender, NoiseConfig(0.1, 0.1), default_rewards(g), 7, episode=e).length
+            for e in range(200)
+        )
+        # far below the bound, every distinct observation is kept
+        assert len(calls) == len(defender._memo) == len({x.tobytes() for x in calls})
+        assert len(calls) <= 0.7 * steps

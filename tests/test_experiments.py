@@ -9,7 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from attacksim.graph import AttackGraph, AttackStep, DefenseStep, default_rewards
+from hypothesis import given, settings, strategies as st
+
+from attacksim.graph import AttackGraph, AttackStep, DefenseStep, RewardConfig, default_rewards
 from attacksim.engine import NoiseConfig
 from attacksim import engine, experiments, ppo
 from attacksim.experiments import (
@@ -17,6 +19,8 @@ from attacksim.experiments import (
     aggregate_rows,
     attacker_matrix,
     evaluate,
+    finite_mean,
+    finite_std,
     noise_grid,
     run_episodes,
     run_sweep,
@@ -99,6 +103,17 @@ class TestEvaluate:
         for row in evaluate(**config):
             assert row.truncated == 5
             assert row.max_len == 2
+
+    def test_mean_reward_finite_when_every_reward_is(self, toy_graph):
+        # each episode's reward is about -1e308, so their plain sum overflows
+        config = self.config(
+            toy_graph, defender="none", rewards=RewardConfig(1.0, 1e308), episodes=2, seeds=(1,)
+        )
+        records = run_episodes(toy_graph, "random", "none", config["noise"], config["rewards"], 1, 2)
+        rewards = [r.cumulative_reward for r in records]
+        assert all(math.isfinite(r) for r in rewards)
+        (row,) = evaluate(**config)
+        assert row.mean_reward == pytest.approx(rewards[0] / 2 + rewards[1] / 2, rel=1e-15)
 
     def test_config_validation(self, toy_graph):
         with pytest.raises(ValueError, match="episodes"):
@@ -354,6 +369,12 @@ class TestAggregationAndOutput:
         assert rows[0]["mean_reward"] == "-10.0"
         assert list(rows[0]) == list(experiments.METRICS_COLUMNS)
 
+    def test_summary_finite_when_every_seed_mean_is(self):
+        rows = [replace(row, mean_reward=r) for row, r in zip(self.rows(), (-1e308, -1.5e308))]
+        summary = aggregate_rows(rows)[0]
+        assert summary["mean_reward_mean"] == pytest.approx(-1.25e308)
+        assert summary["mean_reward_std"] == pytest.approx(0.5e308 / math.sqrt(2))
+
     def test_summary_sums_truncated_episodes(self):
         rows = [replace(row, truncated=n) for row, n in zip(self.rows(), (1, 3))]
         assert aggregate_rows(rows)[0]["truncated"] == 4
@@ -382,3 +403,44 @@ class TestRewardTtest:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "[]"
+
+
+class TestFiniteStats:
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_numpy_wherever_numpy_is_finite(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = [(finite_mean(values), np.mean(values))]
+            if len(values) > 1:
+                pairs.append((finite_std(values), np.std(values, ddof=1)))
+        for ours, numpy in pairs:
+            assert math.isfinite(ours)
+            if math.isfinite(numpy):
+                assert np.float64(ours).tobytes() == numpy.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, mean",
+        [
+            ([-1e308, -1e308], -1e308),
+            ([1.5e308, 1.5e308, -1e308], 1e308 / 3 * 2),
+            ([np.finfo(float).max] * 3, np.finfo(float).max),
+            ([-np.finfo(float).max] * 5, -np.finfo(float).max),
+            # partial sums of opposite sign overflow to inf - inf = nan
+            ([1e308, -1e308] * 8, 0.0),
+        ],
+    )
+    def test_mean_finite_where_numpy_overflows(self, values, mean):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(np.mean(values))
+        assert finite_mean(values) == pytest.approx(mean, rel=1e-15)
+
+    def test_std_finite_where_numpy_overflows(self):
+        assert finite_std([1e308, 1.5e308]) == pytest.approx(0.5e308 / math.sqrt(2), rel=1e-15)
+        assert finite_std([-1e308, 1e308]) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+        # only a deviation too large for a float reads inf
+        assert finite_std([-1.5e308, 1.5e308]) == math.inf
+
+    def test_non_finite_values_give_numpy_result(self):
+        assert finite_mean([1.0, math.inf]) == math.inf
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(finite_mean([-math.inf, math.inf]))

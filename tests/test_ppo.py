@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from attacksim import ppo
+from attacksim import engine, ppo
 from attacksim.graph import default_rewards
-from attacksim.engine import CONTEXT_INIT, NoiseConfig, Observation
+from attacksim.engine import CONTEXT_INIT, NoiseConfig, Observation, run_episode
 from attacksim.defenders import learned_select
 from attacksim.attackers import make_attacker
 from attacksim.ppo import (
@@ -254,6 +254,50 @@ class TestGae:
         dones = np.array([False, True, False, True])
         adv, _ = gae_advantages(rewards, values, dones, gamma=1.0, gae_lambda=1.0)
         assert np.allclose(adv, [-2.0, -1.0, -2.0, -1.0])
+
+
+class TestTruncationBootstrap:
+    def test_hand_unrolled_cut_episode(self):
+        # rows 0-1 are one episode cut at the cap with V(s_T) = 5, row 2 one
+        # that ended; r=[-1,-2,-3], V=[1,2,3], gamma=0.9, lambda=0.5:
+        #   d2 = -3 - 3 = -6                A2 = -6
+        #   d1 = -2 + 0.9*5 - 2 = 0.5       A1 = 0.5
+        #   d0 = -1 + 0.9*2 - 1 = -0.2      A0 = -0.2 + 0.45*0.5 = 0.025
+        rewards = np.array([-1.0, -2.0, -3.0])
+        values = np.array([1.0, 2.0, 3.0])
+        dones = np.array([False, True, True])
+        adv, ret = gae_advantages(
+            rewards, values, dones, gamma=0.9, gae_lambda=0.5, bootstrap=np.array([0.0, 5.0, 0.0])
+        )
+        assert np.allclose(adv, [0.025, 0.5, -6.0])
+        assert np.allclose(ret, [1.025, 2.5, -3.0])
+
+    def test_collect_batch_bootstraps_only_episodes_cut_at_the_cap(self, four_ways_graph, monkeypatch):
+        g = four_ways_graph
+        monkeypatch.setattr(engine, "default_step_cap", lambda graph: 9)
+        params = init_params(g.num_attack_steps, g.num_defense_steps, np.random.default_rng(4))
+        hp = HyperParams(train_batch=200, gamma=0.9, gae_lambda=0.5)
+        attacker, noise, rewards = make_attacker("dfs"), NoiseConfig(0.1, 0.1), default_rewards(g)
+        batch, stats = ppo.collect_batch(g, params, attacker, noise, rewards, hp, seed=3, first_episode=0)
+        row, cut, ended = 0, 0, 0
+        for episode in range(stats["episodes"]):
+            defender = ppo.LearnedDefender(params)
+            record = run_episode(
+                g, attacker, defender, noise, rewards, 3, episode=episode, context=engine.CONTEXT_TRAIN
+            )
+            # the bootstrap value draws nothing: the batch holds this replay's decisions
+            assert batch.actions[row : row + record.length].tolist() == [d.action for d in defender.decisions]
+            row += record.length
+            last = row - 1
+            if record.truncated:
+                cut += 1
+                bootstrap = forward(params, record.steps[-1].obs.vector())[1]
+                assert bootstrap != 0.0
+                assert batch.returns[last] == pytest.approx(batch.rewards[last] + 0.9 * bootstrap, abs=1e-12)
+            else:
+                ended += 1
+                assert batch.returns[last] == pytest.approx(batch.rewards[last], abs=1e-12)
+        assert row == len(batch) and cut > 0 and ended > 0
 
 
 class TestPpoLoss:
