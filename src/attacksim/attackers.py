@@ -53,6 +53,7 @@ class _SortedSurface:
 
 
 # words a UniformChooser draws per refill
+# kept: one rng.integers(n) per pick reads gen200 x0.84-0.95, 1.35 us against 0.36 us a pick
 CHOOSER_WORDS = 64
 
 
@@ -198,6 +199,7 @@ def attainment_costs(
     ]
     inf = math.inf
     get = cost.__getitem__
+    # kept: sweeping to a fixed point reads gen200 x0.94-0.99, 246 us against 186 us a call
     one_sweep = graph.parents_first()
     changed = True
     while changed:

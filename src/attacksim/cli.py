@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import pathlib
 import sys
 
@@ -135,10 +136,10 @@ def _add_hyperparam_flags(parser):
     parser.add_argument("--k-s", type=float, default=hp.k_s, help="entropy coefficient (default: %(default)s)")
     parser.add_argument("--k-kl", type=float, default=hp.k_kl, help="KL coefficient (default: %(default)s)")
     parser.add_argument("--train-batch", type=int, default=hp.train_batch, help="environment steps per iteration (default: %(default)s)")
-    parser.add_argument("--minibatch", type=int, default=hp.minibatch, help="SGD minibatch size (default: %(default)s)")
+    parser.add_argument("--minibatch", type=int, default=hp.minibatch, help="update minibatch size (default: %(default)s)")
     parser.add_argument("--vf-clip", type=float, default=hp.vf_clip, help="value-loss clip bound (default: %(default)s)")
     parser.add_argument("--clip-eps", type=float, default=hp.clip_eps, help="policy ratio clip (default: %(default)s)")
-    parser.add_argument("--lr", type=float, default=hp.lr, help="SGD learning rate (default: %(default)s)")
+    parser.add_argument("--lr", type=float, default=hp.lr, help="Adam learning rate (default: %(default)s)")
     parser.add_argument("--gamma", type=float, default=hp.gamma, help="discount factor (default: %(default)s)")
     parser.add_argument("--gae-lambda", type=float, default=hp.gae_lambda, help="advantage smoothing (default: %(default)s)")
 
@@ -317,9 +318,14 @@ def _cmd_simulate(args) -> int:
         )
     if args.out:
         write_csv(args.out, ("episode", "length", "reward", "flags_fraction", "truncated"), outcomes)
+    rewards = [o[2] for o in outcomes]
+    mean_reward = sum(rewards) / len(rewards)
+    if not math.isfinite(mean_reward):
+        # the sequential sum overflows near 1e308; finite_mean does not
+        mean_reward = experiments.finite_mean(rewards)
     summary = {
         "episodes": len(outcomes),
-        "mean_reward": sum(o[2] for o in outcomes) / len(outcomes),
+        "mean_reward": mean_reward,
         "mean_flags_fraction": sum(o[3] for o in outcomes) / len(outcomes),
     }
     _emit(args, summary, "\n".join(lines + [
@@ -427,7 +433,8 @@ def _cmd_scaling(args) -> int:
 
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, default=str))
+        # strict JSON: a NaN or infinity raises ValueError, an exit-2 error
+        print(json.dumps(payload, indent=2, default=str, allow_nan=False))
     else:
         print(text)
 

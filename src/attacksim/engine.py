@@ -28,6 +28,7 @@ CONTEXT_SHUFFLE = 3
 
 # observe() draws its IDS uniforms this many observations at a time; PCG64
 # yields the same doubles in one (rows, |A|) draw as in rows draws of |A|
+# kept: gen200 env_steps_per_s reads x0.60 without the block, x0.75 without only its column rewrite
 NOISE_ROWS = 16
 
 
@@ -233,6 +234,7 @@ def episode_streams(
     serial execution produce identical per-episode results. They are the
     three children `SeedSequence((seed, context, episode)).spawn(3)`
     gives, built directly from the key's 32-bit words."""
+    # kept: a tuple key or spawn(3) reads x0.96-0.97 on both workloads, 48 or 56 us against 37 us a call
     key = _key_words((seed, context, episode))
     return (
         np.random.default_rng(np.random.SeedSequence(key, spawn_key=(0,))),

@@ -5,7 +5,8 @@ A two-hidden-layer tanh MLP (shared trunk, softmax policy head over the
 defenses plus no-op, linear value head) trained with the clipped surrogate
 objective, a clipped value loss, an entropy bonus and a fixed-coefficient KL
 penalty against the behavior policy. Gradients are hand-derived
-backpropagation over numpy arrays; optimization is plain minibatch SGD.
+backpropagation over numpy arrays; optimization is minibatch Adam, whose
+moments `train` keeps across iterations.
 
 `learned_select` is the one masked-policy sampler. `LearnedDefender` drives
 it in evaluation and in PPO rollouts alike, with its own legal mask, rng
@@ -43,6 +44,11 @@ HIDDEN_LAYERS = (128, 128)
 
 # distinct observations a learned defender keeps the policy's rows for
 MEMO_ROWS = 4096
+
+# Adam's moment decay rates and denominator floor; the floor is the one in
+# Huang et al. 2022, "The 37 Implementation Details of PPO"
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-5
 
 
 @dataclass
@@ -183,12 +189,6 @@ def masked_log_softmax(logits: np.ndarray, legal: np.ndarray) -> tuple[np.ndarra
 
 def masked_entropy(probs: np.ndarray, logp: np.ndarray) -> np.ndarray:
     return -(probs * np.where(probs > 0, logp, 0.0)).sum(axis=-1)
-
-
-def sample_action(probs: np.ndarray, legal: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an action index from a masked categorical; never returns an
-    illegal action even under cumulative-sum float edge cases."""
-    return _draw(probs.cumsum(), legal, rng)
 
 
 def _draw(cumulative: np.ndarray, legal: np.ndarray, rng: np.random.Generator) -> int:
@@ -369,21 +369,46 @@ def ppo_loss_and_grads(params: PolicyParams, batch: TrajectoryBatch, hp: HyperPa
     return float(loss), diagnostics, grads
 
 
+class AdamMoments:
+    """Adam's running first and second moments of every weight array, zero
+    at the start, and the number of steps taken: training state that
+    `train` keeps across iterations, not part of the policy or its file."""
+
+    def __init__(self, params: PolicyParams):
+        self.first = {name: np.zeros_like(a) for name, a in params.arrays().items()}
+        self.second = {name: np.zeros_like(a) for name, a in params.arrays().items()}
+        self.steps = 0
+
+
 def sgd_update(
     params: PolicyParams,
     batch: TrajectoryBatch,
     hp: HyperParams,
     rng: np.random.Generator,
+    moments: AdamMoments,
 ) -> PolicyParams:
-    """One pass of minibatch SGD over a shuffled batch; returns updated
-    parameters (the input is left untouched)."""
+    """One pass of minibatch Adam over a shuffled batch, one step per
+    minibatch (Kingma & Ba 2014, with bias correction): each array moves by
+    `lr * m_hat / (sqrt(v_hat) + ADAM_EPS)`. Returns updated parameters
+    (the input is left untouched) and advances `moments` in place."""
+    beta1, beta2 = ADAM_BETAS
     updated = params.copy()
     order = rng.permutation(len(batch))
     for start in range(0, len(order), hp.minibatch):
         mb = batch.subset(order[start : start + hp.minibatch])
         _, _, grads = ppo_loss_and_grads(updated, mb, hp)
+        moments.steps += 1
+        correction1 = 1.0 - beta1**moments.steps
+        correction2 = 1.0 - beta2**moments.steps
         for name, grad in grads.items():
-            getattr(updated, name)[...] -= hp.lr * grad
+            m, v = moments.first[name], moments.second[name]
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            getattr(updated, name)[...] -= (
+                hp.lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
+            )
     return updated
 
 
@@ -496,6 +521,7 @@ class LearnedDefender:
     def select(self, observation):
         if self.params is not self._memo_params:
             self._memo_params, self._memo = self.params, {}
+        # kept: a mask built on every select reads fourways x0.93, 2.8 us a build
         if observation.defense_bits is not self._bits:
             self._bits = observation.defense_bits
             self._legal = np.concatenate((self._bits == 0, [True]))
@@ -585,6 +611,7 @@ def train(
     init_rng = np.random.default_rng(np.random.SeedSequence((int(seed), engine.CONTEXT_INIT)))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((int(seed), engine.CONTEXT_SHUFFLE)))
     params = init_params(graph.num_attack_steps, graph.num_defense_steps, init_rng)
+    moments = AdamMoments(params)
 
     curve: list[CurvePoint] = []
     episode_counter = 0
@@ -593,7 +620,7 @@ def train(
             graph, params, attacker, noise, rewards, hp, seed, episode_counter
         )
         episode_counter += stats["episodes"]
-        params = sgd_update(params, batch, hp, shuffle_rng)
+        params = sgd_update(params, batch, hp, shuffle_rng, moments)
         _, diagnostics = ppo_loss(params, batch, hp)
         curve.append(
             CurvePoint(

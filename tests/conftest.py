@@ -167,6 +167,68 @@ def sample_ttc_oracle(graph: AttackGraph, rng: np.random.Generator) -> dict[str,
     return {s.id: float(draws[i]) for i, s in enumerate(graph.attack_steps)}
 
 
+class ReferenceEpisode:
+    """The episode rule as README states it, with no cache: sets for the
+    truth, the attack surface recomputed by `surface_oracle` after every
+    change, TTCs from `sample_ttc_oracle` and one `rng.random(|A|)` row per
+    observation. Given the environment stream of a real episode and the
+    actions it took, it must give the same rewards, observations, surfaces
+    and ending, step for step. `noise` may be reassigned between steps."""
+
+    def __init__(self, graph: AttackGraph, noise, rewards, rng: np.random.Generator):
+        self.graph, self.noise, self.rewards, self.rng = graph, noise, rewards, rng
+        self.ttc = sample_ttc_oracle(graph, rng)
+        self.sampled_ttc = dict(self.ttc)
+        self.compromised = {s.id for s in graph.attack_steps if s.is_entry}
+        self.enabled: set[str] = set()
+        self.captured: set[str] = set()
+        self.surface = surface_oracle(graph, self.compromised, self.enabled)
+
+    def observe(self) -> np.ndarray:
+        """Attack bits from one uniform u per step: a compromised step reads 1
+        unless u < fnr, an uncompromised one reads 1 when u < fpr."""
+        u = self.rng.random(len(self.graph.attack_steps))
+        return np.array(
+            [
+                u[i] >= self.noise.fnr if s.id in self.compromised else u[i] < self.noise.fpr
+                for i, s in enumerate(self.graph.attack_steps)
+            ],
+            dtype=np.uint8,
+        )
+
+    def defense_bits(self) -> np.ndarray:
+        return np.array([d.id in self.enabled for d in self.graph.defense_steps], dtype=np.uint8)
+
+    def step(self, attack: str | None, defend: str | None) -> tuple[float, np.ndarray, bool]:
+        """One time-step: the defender's enable, then the attacker's work,
+        then the reward, the next observation's attack bits and `done`."""
+        graph = self.graph
+        assert (attack is None) == (not self.surface), "the attacker acts iff the surface is non-empty"
+        assert attack is None or attack in self.surface
+        if defend is not None:
+            assert defend in {d.id for d in graph.defense_steps} - self.enabled
+            # an enabled defense blocks its children, and compromised ones
+            # stop counting as compromised (no flag penalty is refunded)
+            self.enabled.add(defend)
+            self.compromised -= {child for parent, child in graph.edges if parent == defend}
+            self.surface = surface_oracle(graph, self.compromised, self.enabled)
+        captured_now = []
+        if attack in self.surface:
+            self.ttc[attack] -= 1.0
+            if self.ttc[attack] <= 0.0:
+                self.compromised.add(attack)
+                flag = next(s.is_flag for s in graph.attack_steps if s.id == attack)
+                if flag and attack not in self.captured:
+                    self.captured.add(attack)
+                    captured_now.append(attack)
+                self.surface = surface_oracle(graph, self.compromised, self.enabled)
+        reward = -(
+            len(self.enabled) * self.rewards.defense_cost
+            + len(captured_now) * self.rewards.flag_cost
+        )
+        return reward, self.observe(), not self.surface
+
+
 def attainment_costs_oracle(
     graph: AttackGraph,
     remaining_ttc: dict[str, float],

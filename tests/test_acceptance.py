@@ -143,20 +143,24 @@ def test_criterion_04_ttc_sampling():
 
 
 def test_criterion_05_attack_surface_oracle():
-    with criterion(5, "attack surface matches brute-force oracle on 50 random graphs"):
-        rng = np.random.default_rng(5)
+    with criterion(5, "attack surface matches brute-force oracle on 80 random graphs"):
+        # (rng seed, graphs, states per graph, membership probability): the
+        # first set gives the 10^4 states, the second 30 more graphs at a
+        # sparser membership
         states_checked = 0
-        for _ in range(50):
-            graph = build_random_graph(rng, max_attack=12, max_defense=4)
-            for _ in range(220):
-                compromised = {
-                    sid for sid in graph.attack_ids if rng.random() < 0.45
-                } | {graph.entry_id}
-                enabled = {did for did in graph.defense_ids if rng.random() < 0.45}
-                assert attack_surface(graph, compromised, enabled) == surface_oracle(
-                    graph, compromised, enabled
-                )
-                states_checked += 1
+        for seed, graphs, states, prob in ((5, 50, 220, 0.45), (13, 30, 40, 0.4)):
+            rng = np.random.default_rng(seed)
+            for _ in range(graphs):
+                graph = build_random_graph(rng)
+                for _ in range(states):
+                    compromised = {
+                        sid for sid in graph.attack_ids if rng.random() < prob
+                    } | {graph.entry_id}
+                    enabled = {did for did in graph.defense_ids if rng.random() < prob}
+                    assert attack_surface(graph, compromised, enabled) == surface_oracle(
+                        graph, compromised, enabled
+                    )
+                    states_checked += 1
         assert states_checked >= 10_000
 
 
@@ -197,28 +201,44 @@ def test_criterion_07_gradient_check():
             assert error < 1e-4, f"trial {trial}: max relative error {error}"
 
 
-def test_criterion_08_learning_sanity():
+@pytest.fixture(scope="module")
+def toy_training():
+    """Criterion 08's 50-iteration toy run, trained once for both modes."""
+    graph = bundled_graph("toy")
+    hp = ppo.HyperParams(iterations=50)
+    return ppo.train(graph, make_attacker("random"), NO_NOISE, default_rewards(graph), hp, seed=1)
+
+
+def learned_against_random(params, mode):
+    """Rewards of the learned defender in `mode` and of the random defender,
+    200 toy episodes each against the random attacker on seed 99."""
+    graph = bundled_graph("toy")
+    rewards = default_rewards(graph)
+    return [
+        [
+            r.cumulative_reward
+            for r in run_episodes(
+                graph, "random", defender, NO_NOISE, rewards, seed=99,
+                episodes=200, policy=params, mode=mode,
+            )
+        ]
+        for defender in ("learned", "random")
+    ]
+
+
+def test_criterion_08_learning_sanity(toy_training):
     with criterion(8, "learned greedy policy beats random defender on the toy graph"):
-        graph = bundled_graph("toy")
-        rewards = default_rewards(graph)
-        hp = ppo.HyperParams(iterations=50)
-        params, curve = ppo.train(
-            graph, make_attacker("random"), NO_NOISE, rewards, hp, seed=1
-        )
+        params, curve = toy_training
         assert len(curve) == 50
-        learned = [
-            r.cumulative_reward
-            for r in run_episodes(
-                graph, "random", "learned", NO_NOISE, rewards, seed=99,
-                episodes=200, policy=params, mode="greedy",
-            )
-        ]
-        random_def = [
-            r.cumulative_reward
-            for r in run_episodes(
-                graph, "random", "random", NO_NOISE, rewards, seed=99, episodes=200
-            )
-        ]
+        learned, random_def = learned_against_random(params, "greedy")
+        assert np.mean(learned) > np.mean(random_def)
+        assert reward_ttest(learned, random_def) < 0.05
+
+
+def test_criterion_08_sampled_policy(toy_training):
+    with criterion(8, "learned sampled policy beats random defender on the toy graph"):
+        params, _ = toy_training
+        learned, random_def = learned_against_random(params, "sample")
         assert np.mean(learned) > np.mean(random_def)
         assert reward_ttest(learned, random_def) < 0.05
 

@@ -128,6 +128,17 @@ class TestSimulate:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("episode")]
         assert len(lines) == 10
 
+    def test_json_stays_strict_at_flag_cost_1e308(self, capsys):
+        # each reward is about -1e308, so their sequential sum overflows
+        argv = ["simulate", "--graph", "toy", "--episodes", "2", "--flag-cost", "1e308", "--json"]
+        assert run_cli(argv) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["mean_reward"] == -1e308
+
     def test_unknown_attacker_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(["simulate", "--graph", "toy", "--attacker", "warp"])

@@ -15,6 +15,7 @@ from attacksim.graph import (
     bundled_graph,
     bundled_graph_names,
     default_rewards,
+    step_cap_bound,
 )
 from attacksim.engine import (
     NOISE_ROWS,
@@ -31,10 +32,12 @@ from attacksim.engine import (
     sync_derived,
     write_trajectory,
 )
-from attacksim.attackers import make_attacker
+from attacksim.attackers import ATTACKER_KINDS, make_attacker
 from attacksim.defenders import make_defender
+from attacksim.ppo import ACTION_MODES, init_params
 
 from conftest import (
+    ReferenceEpisode,
     build_random_graph,
     episode_streams_oracle,
     sample_ttc_oracle,
@@ -74,18 +77,6 @@ class TestSampleTtc:
             draws = sample_ttc(g, rng)
             assert draws["s1"] == 0.0
             assert draws["s2"] == 0.0
-
-    def test_exponential_mean_and_support(self):
-        g = chain_graph([10.0] * 10)
-        rng = np.random.default_rng(42)
-        draws = []
-        for _ in range(10_000):
-            sampled = sample_ttc(g, rng)
-            draws.extend(sampled[f"s{i}"] for i in range(1, 11))
-        draws = np.array(draws)
-        assert draws.size == 100_000
-        assert abs(draws.mean() - 10.0) < 0.2
-        assert (draws > 0).all()
 
     @given(
         graph_seed=st.integers(0, 2**32 - 1),
@@ -235,33 +226,6 @@ class TestObserve:
             assert obs.attack_bits.dtype == expected.dtype
             assert np.array_equal(obs.attack_bits, expected), call
         assert state.noise_row == NOISE_ROWS // 2
-
-    def test_empirical_rates_match_configured(self):
-        # 200 attack steps, half compromised; 1000 observations give 1e5
-        # bits per class
-        n = 200
-        steps = [AttackStep(id="entry", is_entry=True)] + [
-            AttackStep(id=f"s{i}", ttc_mean=1.0) for i in range(n - 1)
-        ]
-        edges = {("entry", f"s{i}") for i in range(n - 1)}
-        g = AttackGraph(attack_steps=tuple(steps), edges=frozenset(edges))
-        noise = NoiseConfig(fpr=0.25, fnr=0.125)
-        state = init_episode(g, noise, UNIT_REWARDS, seed=5)
-        state.compromised = set(list(g.attack_ids)[: n // 2])
-        sync_derived(state)
-        compromised_mask = np.array(
-            [sid in state.compromised for sid in g.attack_ids]
-        )
-        fp = fn = pos = neg = 0
-        for _ in range(1000):
-            bits = observe(state).attack_bits.astype(bool)
-            fn += int((~bits[compromised_mask]).sum())
-            pos += int(compromised_mask.sum())
-            fp += int(bits[~compromised_mask].sum())
-            neg += int((~compromised_mask).sum())
-        assert pos >= 100_000 and neg >= 100_000
-        assert abs(fp / neg - 0.25) < 0.01
-        assert abs(fn / pos - 0.125) < 0.01
 
 
 class TestObservationBitsBlock:
@@ -546,24 +510,6 @@ class TestRunEpisode:
             assert record.cumulative_reward == -rewards.flag_cost * len(g.flag_ids)
             assert not record.truncated
 
-    def test_reward_bound_over_random_episodes(self, two_keys_graph):
-        rewards = default_rewards(two_keys_graph)
-        d = two_keys_graph.num_defense_steps
-        for ep in range(200):
-            record = run_episode(
-                two_keys_graph,
-                make_attacker("random"),
-                make_defender("random"),
-                NO_NOISE,
-                rewards,
-                seed=11,
-                episode=ep,
-            )
-            # the closed-form bound assumes length >= |D|; shorter episodes
-            # are bounded by the |D|-length value a fortiori
-            bound = min_reward_bound(two_keys_graph, rewards, max(record.length, d))
-            assert bound <= record.cumulative_reward <= 0.0
-
     def test_deterministic_with_fixed_seed(self, four_ways_graph):
         rewards = default_rewards(four_ways_graph)
         noise = NoiseConfig(fpr=0.2, fnr=0.1)
@@ -690,6 +636,115 @@ class TestRunEpisode:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert len(first[5]) == toy_graph.num_attack_steps + toy_graph.num_defense_steps
+
+
+class _TapAttacker:
+    """Passes an attacker's selects through and records the surface and
+    captured flags each one is shown; before the select of step t it runs
+    `edits[t]` on the engine's state."""
+
+    def __init__(self, inner, edits):
+        self.inner, self.edits = inner, edits
+
+    def reset(self, graph, state, rng):
+        self.state, self.seen = state, []
+        self.inner.reset(graph, state, rng)
+
+    def select(self, state):
+        if (edit := self.edits.get(len(self.seen))) is not None:
+            edit(state)
+        self.seen.append((set(state.surface), set(state.captured_flags)))
+        return self.inner.select(state)
+
+
+class _TapDefender:
+    """Passes a defender's selects through and keeps each observation it is
+    shown, with a copy of its bits as they were then."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def reset(self, graph, rng):
+        self.shown = []
+        self.inner.reset(graph, rng)
+
+    def select(self, observation):
+        self.shown.append((observation, observation.attack_bits.copy()))
+        return self.inner.select(observation)
+
+
+RATES = st.sampled_from((0.0, 0.1, 1.0))
+
+
+class TestReferenceEpisode:
+    """The engine against `ReferenceEpisode`: an episode of real agents,
+    with `sync_derived` and a noise change at drawn steps, replayed action
+    by action through the reference."""
+
+    @given(
+        graph_seed=st.integers(0, 2**32 - 1),
+        max_attack=st.sampled_from((12, 30)),
+        attacker=st.sampled_from(ATTACKER_KINDS),
+        defender=st.sampled_from(("none", "random", "tripwire", "learned")),
+        mode=st.sampled_from(ACTION_MODES),
+        noise=st.tuples(RATES, RATES),
+        new_noise=st.tuples(RATES, RATES),
+        seed=st.integers(0, 2**32 - 1),
+        episode=st.integers(0, 3),
+        max_steps=st.none() | st.integers(1, 40),
+        sync_at=st.integers(0, 40),
+        noise_at=st.integers(0, 40),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_replay_matches_reference(
+        self, graph_seed, max_attack, attacker, defender, mode, noise, new_noise,
+        seed, episode, max_steps, sync_at, noise_at,
+    ):
+        g = build_random_graph(np.random.default_rng(graph_seed), max_attack=max_attack)
+        rewards = RewardConfig(defense_cost=1.0, flag_cost=7.5)
+        new_noise = NoiseConfig(*new_noise)
+
+        def change_noise(state):
+            state.noise = new_noise
+            sync_derived(state)
+
+        tap = _TapAttacker(make_attacker(attacker), {sync_at: sync_derived, noise_at: change_noise})
+        params = init_params(g.num_attack_steps, g.num_defense_steps, np.random.default_rng(seed), hidden=(8, 8))
+        shown = _TapDefender(make_defender(defender, params=params, mode=mode))
+        record = run_episode(
+            g, tap, shown, NoiseConfig(*noise), rewards, seed, episode=episode, max_steps=max_steps
+        )
+
+        ref = ReferenceEpisode(
+            g, NoiseConfig(*noise), rewards, episode_streams(seed, episode)[0]
+        )
+        assert record.sampled_ttc == ref.sampled_ttc
+        observations = [ref.observe()]
+        done, total = False, 0.0
+        for t, row in enumerate(record.steps):
+            assert tap.seen[t] == (ref.surface, ref.captured), t
+            if t == noise_at:
+                ref.noise = new_noise
+            reward, bits, done = ref.step(row.attacker_action, row.defender_action)
+            observations.append(bits)
+            total += reward
+            assert (row.t, row.reward, row.done) == (t, reward, done)
+            assert np.array_equal(row.obs.defense_bits, ref.defense_bits()), t
+        assert tap.state.surface == ref.surface
+        assert record.flags_captured == ref.captured
+        assert record.cumulative_reward == total
+        assert record.length == len(record.steps)
+        assert record.truncated == (not done)
+        if not done:
+            cap = max_steps if max_steps is not None else math.ceil(step_cap_bound(g))
+            assert record.length == cap
+        # the attack bits each observation had when the defender was shown
+        # it, and those of every observation after the episode ended
+        for t, (_, bits) in enumerate(shown.shown):
+            assert np.array_equal(bits, observations[t]), t
+        handed_out = [shown.shown[0][0]] + [row.obs for row in record.steps]
+        for t, obs in enumerate(handed_out):
+            assert np.array_equal(obs.attack_bits, observations[t]), t
 
 
 class TestEpisodeStreams:

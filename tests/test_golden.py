@@ -70,12 +70,14 @@ def test_golden_episodes_unchanged():
     assert golden_digest() == GOLDEN_SHA256
 
 
-# sha256 over the policy file and curve CSV of short training runs, and over
-# the metrics and summary CSVs of tiny experiments; both captured before
-# collect_batch ran its episodes through run_episode. The experiments digest
-# is of the CSVs in their earlier format, which the current ones reproduce
-# through `old_format`; EXPERIMENTS_RAW_SHA256 pins the current format.
-TRAINING_SHA256 = "47a1b78dbe7bb303027b38cfabc51783cec55bd683dce0c47116c431c749debe"
+# sha256 over the policy file and curve CSV of short training runs, taken
+# when the update became Adam, and over the metrics and summary CSVs of tiny
+# experiments, taken before collect_batch ran its episodes through
+# run_episode (their learned rows did not move with Adam). The experiments
+# digest is of the CSVs in their earlier format, which the current ones
+# reproduce through `old_format`; EXPERIMENTS_RAW_SHA256 pins the current
+# format.
+TRAINING_SHA256 = "aa1e075de3b911d650a52466a70a068cac77b5f7f3ea86d939a79a1c967c62f8"
 EXPERIMENTS_SHA256 = "03815a4cb4581255f2ae8d2f53ca2db30b70968f41d610ff86dd981d74121063"
 EXPERIMENTS_RAW_SHA256 = "8e7a7e85948a0abf0b3800de6685b60d704b87de32d3dfb0461c777286d0ef70"
 TINY_HP = ppo.HyperParams(iterations=2, train_batch=48, minibatch=16)
