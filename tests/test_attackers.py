@@ -452,6 +452,31 @@ class TestPathfinder:
             assert state.surface == {"a", "b"}
             assert attacker.select(state) == "a"
 
+    def test_time_to_first_flag_matches_dijkstra(self):
+        rng = np.random.default_rng(33)
+        checked = 0
+        for _ in range(20):
+            g = build_random_graph(rng, or_only=True, max_defense=0, flag_prob=0.3)
+            seed = int(rng.integers(10_000))
+            record = run_episode(
+                g,
+                make_attacker("pathfinder"),
+                make_defender("none"),
+                NO_NOISE,
+                RewardConfig(1.0, 5.0),
+                seed,
+            )
+            work = {sid: work_steps(record.sampled_ttc[sid]) for sid in g.attack_ids}
+            dist = dijkstra_work_steps(g, work, {g.entry_id})
+            best = min(dist[fid] for fid in g.flag_ids)
+            # first capture shows up as the first strictly negative reward
+            # (no defender, so the only penalties are flag captures)
+            capture_steps = [i for i, r in enumerate(record.steps) if r.reward < 0]
+            assert capture_steps, "pathfinder must reach some flag"
+            assert capture_steps[0] + 1 == best
+            checked += 1
+        assert checked == 20
+
     def test_falls_back_to_random_when_no_flag_reachable(self):
         steps = (
             AttackStep(id="entry", is_entry=True),

@@ -78,6 +78,18 @@ class TestSampleTtc:
             assert draws["s1"] == 0.0
             assert draws["s2"] == 0.0
 
+    def test_exponential_mean_and_support(self):
+        g = chain_graph([10.0] * 10)
+        rng = np.random.default_rng(42)
+        draws = []
+        for _ in range(10_000):
+            sampled = sample_ttc(g, rng)
+            draws.extend(sampled[f"s{i}"] for i in range(1, 11))
+        draws = np.array(draws)
+        assert draws.size == 100_000
+        assert abs(draws.mean() - 10.0) < 0.2
+        assert (draws > 0).all()
+
     @given(
         graph_seed=st.integers(0, 2**32 - 1),
         rng_seed=st.integers(0, 2**32 - 1),
@@ -226,6 +238,33 @@ class TestObserve:
             assert obs.attack_bits.dtype == expected.dtype
             assert np.array_equal(obs.attack_bits, expected), call
         assert state.noise_row == NOISE_ROWS // 2
+
+    def test_empirical_rates_match_configured(self):
+        # 200 attack steps, half compromised; 1000 observations give 1e5
+        # bits per class
+        n = 200
+        steps = [AttackStep(id="entry", is_entry=True)] + [
+            AttackStep(id=f"s{i}", ttc_mean=1.0) for i in range(n - 1)
+        ]
+        edges = {("entry", f"s{i}") for i in range(n - 1)}
+        g = AttackGraph(attack_steps=tuple(steps), edges=frozenset(edges))
+        noise = NoiseConfig(fpr=0.25, fnr=0.125)
+        state = init_episode(g, noise, UNIT_REWARDS, seed=5)
+        state.compromised = set(list(g.attack_ids)[: n // 2])
+        sync_derived(state)
+        compromised_mask = np.array(
+            [sid in state.compromised for sid in g.attack_ids]
+        )
+        fp = fn = pos = neg = 0
+        for _ in range(1000):
+            bits = observe(state).attack_bits.astype(bool)
+            fn += int((~bits[compromised_mask]).sum())
+            pos += int(compromised_mask.sum())
+            fp += int(bits[~compromised_mask].sum())
+            neg += int((~compromised_mask).sum())
+        assert pos >= 100_000 and neg >= 100_000
+        assert abs(fp / neg - 0.25) < 0.01
+        assert abs(fn / pos - 0.125) < 0.01
 
 
 class TestObservationBitsBlock:
@@ -509,6 +548,24 @@ class TestRunEpisode:
             assert record.flags_fraction == 1.0
             assert record.cumulative_reward == -rewards.flag_cost * len(g.flag_ids)
             assert not record.truncated
+
+    def test_reward_bound_over_random_episodes(self, two_keys_graph):
+        rewards = default_rewards(two_keys_graph)
+        d = two_keys_graph.num_defense_steps
+        for ep in range(200):
+            record = run_episode(
+                two_keys_graph,
+                make_attacker("random"),
+                make_defender("random"),
+                NO_NOISE,
+                rewards,
+                seed=11,
+                episode=ep,
+            )
+            # the closed-form bound assumes length >= |D|; shorter episodes
+            # are bounded by the |D|-length value a fortiori
+            bound = min_reward_bound(two_keys_graph, rewards, max(record.length, d))
+            assert bound <= record.cumulative_reward <= 0.0
 
     def test_deterministic_with_fixed_seed(self, four_ways_graph):
         rewards = default_rewards(four_ways_graph)
