@@ -98,16 +98,14 @@ class SimState:
     from `rng` `NOISE_ROWS` rows at a time; `noise_row` is the next unused
     row (`NOISE_ROWS` when the block is used up, as in a new state). Only
     `observe` advances them, so `sync_derived` neither skips nor repeats a
-    draw. For those rows, `readings_block[t]` holds what each attack step
-    reads when its truth bit is t, `(u < threshold) ^ t` for its uniform
-    u: `u < fpr` for 0 and `u >= fnr` for 1. `bits_block` holds the
-    observation bits, each step's reading for its current truth, and each
-    observation's attack bits are a view of one of its rows. Rows before
-    `noise_row` have been handed out and are never written again: a
-    compromise or un-compromise in `step()` copies its own column of the
-    reading for its new truth into the rows from `noise_row` on, and
-    `sync_derived` drops the bits block (None), which the next `observe`
-    rebuilds, readings included, from the current truth and noise."""
+    draw. For those rows, `bits_block` holds the observation bits: each
+    attack step reads `u >= fnr` for its uniform u when compromised and
+    `u < fpr` when not, and each observation's attack bits are a view of
+    one row. Rows before `noise_row` have been handed out and are never
+    written again: a compromise or un-compromise in `step()` rewrites its
+    own column, from the kept uniforms and its new truth, in the rows from
+    `noise_row` on, and `sync_derived` drops the bits block (None), which
+    the next `observe` rebuilds from the current truth and noise."""
 
     graph: AttackGraph
     noise: NoiseConfig
@@ -124,7 +122,6 @@ class SimState:
     surface_version: int = field(init=False, default=0)
     noise_block: np.ndarray | None = field(init=False, default=None)
     noise_row: int = field(init=False, default=NOISE_ROWS)
-    readings_block: np.ndarray | None = field(init=False, default=None)
     bits_block: np.ndarray | None = field(init=False, default=None)
 
 
@@ -336,15 +333,10 @@ def observe(state: SimState) -> Observation:
 
 
 def _build_bits(state: SimState) -> np.ndarray:
-    """Fill `state.readings_block` from the noise block and rates, and
-    `state.bits_block` from the readings and the truth."""
-    uniforms = state.noise_block
-    readings = np.empty((2,) + uniforms.shape, dtype=bool)
-    np.less(uniforms, state.noise.fpr, out=readings[0])
-    np.greater_equal(uniforms, state.noise.fnr, out=readings[1])
-    readings = state.readings_block = readings.view(np.uint8)
-    bits = state.bits_block = np.where(state.compromised_bits, readings[1], readings[0])
-    return bits
+    """Fill `state.bits_block` from the noise block, the rates and the truth."""
+    u, noise = state.noise_block, state.noise
+    state.bits_block = np.where(state.compromised_bits, u >= noise.fnr, u < noise.fpr).view(np.uint8)
+    return state.bits_block
 
 
 def _set_truth(state: SimState, i: int, bit: int) -> None:
@@ -353,7 +345,8 @@ def _set_truth(state: SimState, i: int, bit: int) -> None:
     state.compromised_bits[i] = bit
     bits, row = state.bits_block, state.noise_row
     if bits is not None and row < NOISE_ROWS:
-        bits[row:, i] = state.readings_block[bit, row:, i]
+        u = state.noise_block[row:, i]
+        bits[row:, i] = u >= state.noise.fnr if bit else u < state.noise.fpr
 
 
 def reward_of(

@@ -8,11 +8,11 @@ penalty against the behavior policy. Gradients are hand-derived
 backpropagation over numpy arrays; optimization is minibatch Adam, whose
 moments `train` keeps across iterations.
 
-`learned_select` is the one masked-policy sampler. `LearnedDefender` drives
-it in evaluation and in PPO rollouts alike, with its own legal mask, rng
-and memo, and keeps each decision of the current episode for the update;
-no state is shared between defenders. `defenders` registers it as
-"learned".
+`learned_select` is the one masked-policy sampler, and `legal_mask` the one
+rule of which actions it may take. `LearnedDefender` drives it in
+evaluation and in PPO rollouts alike, with its own rng and memo, and keeps
+each decision of the current episode for the update; no state is shared
+between defenders. `defenders` registers it as "learned".
 
 The memo holds, for up to `MEMO_ROWS` distinct observations, everything
 deterministic about the policy's decision on it, so the network runs once
@@ -191,14 +191,21 @@ def masked_entropy(probs: np.ndarray, logp: np.ndarray) -> np.ndarray:
     return -(probs * np.where(probs > 0, logp, 0.0)).sum(axis=-1)
 
 
-def _draw(cumulative: np.ndarray, legal: np.ndarray, rng: np.random.Generator) -> int:
-    """The one draw rule: one `rng.random()` against the cumulative
-    probabilities, falling back to the last legal index."""
-    r = float(rng.random())
-    action = int(cumulative.searchsorted(r, side="right"))
-    if action >= cumulative.shape[0] or not legal[action]:
-        action = int(np.flatnonzero(legal)[-1])
-    return action
+def legal_mask(defense_bits: np.ndarray) -> np.ndarray:
+    """The actions the policy may take on one row of defense bits or a
+    batch of rows: each defense whose bit is 0, in index order, then the
+    always-legal no-op."""
+    legal = np.ones(defense_bits.shape[:-1] + (defense_bits.shape[-1] + 1,), dtype=bool)
+    legal[..., :-1] = defense_bits == 0
+    return legal
+
+
+def _draw(cumulative: np.ndarray, rng: np.random.Generator) -> int:
+    """The one draw rule: the first index whose cumulative probability
+    exceeds one `rng.random()` r. A zero-probability action repeats the sum
+    before it, so it is never that first index. When r is at or past a last
+    sum that rounded below 1, the draw takes the last index, the no-op."""
+    return min(int(cumulative.searchsorted(rng.random(), side="right")), cumulative.shape[0] - 1)
 
 
 @dataclass
@@ -418,24 +425,23 @@ def sgd_update(
 
 
 class PolicyStep(NamedTuple):
-    """One decision of the masked policy: the network input, the action
-    index (|D| is no-op) and what the learner stores for it."""
+    """One decision of the masked policy: the observation it was made on,
+    the action index (|D| is no-op) and what the learner stores for it."""
 
-    obs: np.ndarray
+    obs: Observation
     action: int
     logp: float
     value: float
     probs: np.ndarray
-    legal: np.ndarray
 
 
-def _policy_row(x: np.ndarray, params: PolicyParams, legal: np.ndarray) -> np.ndarray:
-    """Everything deterministic about the decision on one network input, in
+def _policy_row(observation: Observation, params: PolicyParams) -> np.ndarray:
+    """Everything deterministic about the decision on one observation, in
     one read-only float64 array: with n = |D|+1 actions, `probs`, `logp_all`
     and their cumulative sums (n entries each), then the value and the
     greedy action."""
-    logits, value = forward(params, x)
-    probs, logp_all = masked_log_softmax(logits, legal)
+    logits, value = forward(params, observation.vector())
+    probs, logp_all = masked_log_softmax(logits, legal_mask(observation.defense_bits))
     row = np.concatenate((probs, logp_all, probs.cumsum(), (value, probs.argmax())))
     row.flags.writeable = False
     return row
@@ -444,46 +450,43 @@ def _policy_row(x: np.ndarray, params: PolicyParams, legal: np.ndarray) -> np.nd
 def learned_select(
     observation: Observation,
     params: PolicyParams,
-    legal: np.ndarray,
     rng: np.random.Generator,
     mode: str,
     memo: dict | None = None,
 ) -> PolicyStep:
-    """Pick an action index through the policy network, restricted to the
-    `legal` mask; `sample` draws one `rng.random()` from the masked
-    categorical, `greedy` takes the argmax (a legal action: the illegal
-    ones have probability 0) and draws nothing.
+    """Pick an action index through the policy network, restricted to
+    `legal_mask(observation.defense_bits)`; `sample` draws one
+    `rng.random()` from the masked categorical, `greedy` takes the argmax
+    (a legal action: the illegal ones have probability 0) and draws
+    nothing.
 
     With a `memo` (a dict kept for this one `params` object, whose arrays
     must not change while it is kept), the network runs once per distinct
     observation: the rows of the first `MEMO_ROWS` are kept, keyed by the
-    observation's bits, and a hit runs no `forward`. `legal` must then be
-    the mask of the observation's defense bits, which the key covers. The
-    step is the same, bit for bit, with a memo or without; its `probs` is a
-    read-only view of the row."""
-    x = observation.vector()
+    observation's bits, and a hit builds neither the network input nor the
+    mask. The step is the same, bit for bit, with a memo or without; its
+    `probs` is a read-only view of the row."""
     if memo is None:
-        row = _policy_row(x, params, legal)
+        row = _policy_row(observation, params)
     else:
         key = observation.attack_bits.tobytes() + observation.defense_bits.tobytes()
         row = memo.get(key)
         if row is None:
-            row = _policy_row(x, params, legal)
+            row = _policy_row(observation, params)
             if len(memo) < MEMO_ROWS:
                 memo[key] = row
-    n = legal.shape[0]
+    n = observation.defense_bits.shape[0] + 1
     if mode == "greedy":
         action = int(row[3 * n + 1])
     else:
-        action = _draw(row[2 * n : 3 * n], legal, rng)
-    return PolicyStep(x, action, row[n + action], float(row[3 * n]), row[:n], legal)
+        action = _draw(row[2 * n : 3 * n], rng)
+    return PolicyStep(observation, action, row[n + action], float(row[3 * n]), row[:n])
 
 
 class LearnedDefender:
-    """The policy network's defender. Its legal mask is one entry per
-    defense in index order, legal where the bit is 0, then the always-legal
-    no-op. Every decision of the current episode is kept, in order, in
-    `decisions` for the learner.
+    """The policy network's defender; its actions are those of
+    `legal_mask`. Every decision of the current episode is kept, in order,
+    in `decisions` for the learner.
 
     The defender keeps one memo of policy rows (see `learned_select`) for
     the `params` object it holds, and starts a fresh one when `params` is
@@ -514,21 +517,12 @@ class LearnedDefender:
         # action index -> defense id; the trailing index is the no-op
         self._action_ids = graph.defense_ids + (None,)
         self._rng = rng
-        self._bits = None
-        self._legal = None
         self.decisions = []
 
     def select(self, observation):
         if self.params is not self._memo_params:
             self._memo_params, self._memo = self.params, {}
-        # kept: a mask built on every select reads fourways x0.93, 2.8 us a build
-        if observation.defense_bits is not self._bits:
-            self._bits = observation.defense_bits
-            self._legal = np.concatenate((self._bits == 0, [True]))
-            self._legal.flags.writeable = False
-        decision = learned_select(
-            observation, self.params, self._legal, self._rng, self.mode, self._memo
-        )
+        decision = learned_select(observation, self.params, self._rng, self.mode, self._memo)
         self.decisions.append(decision)
         return self._action_ids[decision.action]
 
@@ -570,14 +564,15 @@ def collect_batch(
         episode_flags.append(record.flags_fraction)
         episode += 1
 
+    obs = np.array([d.obs.vector() for d in decisions])
     batch = TrajectoryBatch(
-        obs=np.array([d.obs for d in decisions], dtype=np.float64),
+        obs=obs,
         actions=np.array([d.action for d in decisions], dtype=np.int64),
         logp_old=np.array([d.logp for d in decisions], dtype=np.float64),
         rewards=np.array(reward_rows, dtype=np.float64),
         values_old=np.array([d.value for d in decisions], dtype=np.float64),
         dones=np.array(done_rows, dtype=bool),
-        legal=np.array([d.legal for d in decisions], dtype=bool),
+        legal=legal_mask(obs[:, graph.num_attack_steps :]),
         probs_old=np.array([d.probs for d in decisions], dtype=np.float64),
     )
     batch.finalize(hp.gamma, hp.gae_lambda, np.array(bootstrap_rows, dtype=np.float64))
@@ -607,7 +602,15 @@ def train(
     seed: int,
 ) -> tuple[PolicyParams, list[CurvePoint]]:
     """Full training run: collect, estimate advantages, update; one curve
-    point per iteration. Deterministic for a fixed seed."""
+    point per iteration. Deterministic for a fixed seed; rewards whose
+    squared advantages would overflow a batch are refused before any work."""
+    episode_len = max(engine.default_step_cap(graph), graph.num_defense_steps)
+    worst = engine.min_reward_bound(graph, rewards, episode_len)
+    if not math.isfinite(4 * worst * worst * hp.train_batch):
+        raise ValueError(
+            f"flag_cost {rewards.flag_cost} and defense_cost {rewards.defense_cost} are too large "
+            f"for the learner: an episode's reward can reach {worst:.3g}, whose squares overflow"
+        )
     init_rng = np.random.default_rng(np.random.SeedSequence((int(seed), engine.CONTEXT_INIT)))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((int(seed), engine.CONTEXT_SHUFFLE)))
     params = init_params(graph.num_attack_steps, graph.num_defense_steps, init_rng)

@@ -331,6 +331,35 @@ class TestTrainEvaluate:
         assert len(err.splitlines()) == 1
         assert not policy.exists()
 
+    @pytest.mark.parametrize("flag_cost", ["1e160", "1e308"])
+    def test_rewards_too_large_for_the_learner_exit_two_before_a_batch(
+        self, tmp_path, capsys, monkeypatch, flag_cost
+    ):
+        # squared advantages of rewards near -flag_cost overflow: at 1e160
+        # the batch's advantage std read inf and every normalized advantage
+        # 0, at 1e308 the loss went non-finite after a batch was collected
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch was collected")
+
+        monkeypatch.setattr(ppo, "collect_batch", no_batch)
+        policy = tmp_path / "policy.json"
+        argv = ["train", "--graph", "toy", "--iterations", "1", "--train-batch", "64",
+                "--minibatch", "32", "--flag-cost", flag_cost, "--out", str(policy)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"attacksim: error: flag_cost {float(flag_cost)} and defense_cost 1.0 are too large"
+        )
+        assert len(err.splitlines()) == 1
+        assert not policy.exists()
+
+    def test_flag_cost_1e150_still_trains(self, tmp_path):
+        policy = tmp_path / "policy.json"
+        argv = ["train", "--graph", "toy", "--iterations", "1", "--train-batch", "64",
+                "--minibatch", "32", "--flag-cost", "1e150", "--out", str(policy)]
+        assert run_cli(argv) == 0
+        assert policy.exists()
+
     def test_help_lists_hyperparameter_defaults(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(["train", "--help"])

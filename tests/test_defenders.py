@@ -284,12 +284,13 @@ class TestCachedViews:
                 fresh = _disabled_indices(obs)
                 if kind == "tripwire":
                     assert cached._disabled == fresh
+                    rebuilt._bits = None
                 elif kind == "random":
                     assert cached._options == [g.defense_ids[i] for i in fresh] + [None]
+                    rebuilt._bits = None
                 else:
-                    assert cached._bits is obs.defense_bits
-                    assert cached._legal.tolist() == [i in fresh for i in range(g.num_defense_steps)] + [True]
-                rebuilt._bits = None
+                    # the learned defender's one kept view is its memo
+                    rebuilt._memo.clear()
                 assert rebuilt.select(obs) == choice
                 row = step(state, attacker.select(state), choice)
                 if row.done:
@@ -302,8 +303,7 @@ class PlainLearned(ppo.LearnedDefender):
     afresh by `learned_select(..., memo=None)`."""
 
     def select(self, observation):
-        legal = np.concatenate((observation.defense_bits == 0, [True]))
-        decision = ppo.learned_select(observation, self.params, legal, self._rng, self.mode)
+        decision = ppo.learned_select(observation, self.params, self._rng, self.mode)
         self.decisions.append(decision)
         return self._action_ids[decision.action]
 
@@ -314,8 +314,7 @@ def decision_bits(decision):
         type(decision.logp), np.float64(decision.logp).tobytes(),
         type(decision.value), np.float64(decision.value).tobytes(),
         decision.probs.dtype, decision.probs.tobytes(),
-        decision.obs.dtype, decision.obs.tobytes(),
-        decision.legal.tolist(),
+        decision.obs.bitstring(),
     )
 
 

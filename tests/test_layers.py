@@ -1,6 +1,7 @@
 """The package's import layers: relative imports between the modules of
 src/attacksim form no cycle, and none of them names a private attribute,
-so each decision has one home module that the others only import from."""
+so each decision has one home module that the others only import from;
+and each fast path kept in the code has its measured row in README."""
 
 import ast
 import graphlib
@@ -46,3 +47,17 @@ def test_no_relative_import_names_a_private_attribute():
         if name.startswith("_")
     ]
     assert private == []
+
+
+def test_each_kept_fast_path_has_its_readme_row():
+    # one `# kept:` comment beside each fast path, one measured row for it
+    # in README's "Fast paths" table
+    kept = sum(
+        line.lstrip().startswith("# kept:")
+        for path in PACKAGE.glob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+    )
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Fast paths\n", 1)[1].split("\n## ", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("|")]
+    assert kept == len(table) - 2  # less the header and its rule

@@ -61,7 +61,7 @@ def make_batch(
     logits, values = forward(behavior, obs)
     probs, logp_all = masked_log_softmax(logits, legal)
     actions = np.array(
-        [ppo._draw(probs[i].cumsum(), legal[i], rng) for i in range(n)], dtype=np.int64
+        [ppo._draw(probs[i].cumsum(), rng) for i in range(n)], dtype=np.int64
     )
     rewards = -rng.random(n) * 3.0
     dones = rng.random(n) < 0.3
@@ -203,13 +203,58 @@ class TestMaskedSoftmax:
             attack_bits=np.array([1, 0], dtype=np.uint8),
             defense_bits=np.array([1, 0, 1], dtype=np.uint8),
         )
-        legal = np.array([False, True, False, True])
+        legal = ppo.legal_mask(obs.defense_bits)
+        assert legal.dtype == bool
+        assert legal.tolist() == [False, True, False, True]
+        # a batch of rows, as the learner builds it from the network inputs
+        batch = np.stack([obs.vector(), np.zeros(5)])
+        assert ppo.legal_mask(batch[:, 2:]).tolist() == [legal.tolist(), [True] * 4]
         for mode in ("sample", "greedy"):
-            decision = learned_select(obs, params, legal, np.random.default_rng(1), mode)
-            assert decision.legal.dtype == bool
-            assert decision.legal.tolist() == [False, True, False, True]
-            assert decision.probs[~decision.legal].tolist() == [0.0, 0.0]
+            decision = learned_select(obs, params, np.random.default_rng(1), mode)
+            assert decision.probs[~legal].tolist() == [0.0, 0.0]
             assert decision.action in (1, 3)
+
+
+class StubUniform:
+    """A stand-in generator whose every `random()` returns `r`."""
+
+    def __init__(self, r):
+        self.r, self.calls = r, 0
+
+    def random(self):
+        self.calls += 1
+        return self.r
+
+
+class TestDraw:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_draws_a_positive_probability_action_or_the_noop(self, data):
+        n = data.draw(st.integers(1, 8))
+        # a logit spread over 800 underflows some legal actions' exp() to 0
+        spread = data.draw(st.sampled_from([1.0, 30.0, 1000.0]))
+        logits = data.draw(arrays(np.float64, n, elements=st.floats(-spread, spread)))
+        legal = data.draw(arrays(bool, n))
+        legal[-1] = True  # the no-op
+        probs, _ = masked_log_softmax(logits, legal)
+        cumulative = probs.cumsum()
+        last = cumulative[-1]
+        # a free uniform, 0, each sum (the last included) and the float
+        # below it, and the float past a last sum that rounded below 1
+        uniforms = [data.draw(st.floats(0.0, 1.0, exclude_max=True)), 0.0]
+        uniforms += [u for c in cumulative for u in (c, np.nextafter(c, 0.0))]
+        if last < 1.0:
+            uniforms.append(np.nextafter(last, 1.0))
+        for r in uniforms:
+            rng = StubUniform(float(r))
+            action = ppo._draw(cumulative, rng)
+            assert rng.calls == 1
+            assert probs[action] > 0 or action == n - 1, (r, probs)
+            if r >= last:
+                assert action == n - 1
+            else:
+                # the first index whose cumulative probability exceeds r
+                assert cumulative[action] > r and (action == 0 or cumulative[action - 1] <= r)
 
 
 class TestGae:
