@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -210,19 +210,18 @@ def _draw(cumulative: np.ndarray, rng: np.random.Generator) -> int:
 
 @dataclass
 class TrajectoryBatch:
-    """Whole-episode rollout data plus derived GAE advantages and returns.
-    Advantages are normalized per batch (zero mean, unit variance)."""
+    """What the update reads of whole-episode rollouts: the network inputs,
+    the actions taken, their behavior log-probabilities and action
+    distributions, and the GAE advantages (normalized per batch to zero mean
+    and unit variance) and returns. The loss rebuilds each row's action mask
+    from its input's defense columns."""
 
     obs: np.ndarray
     actions: np.ndarray
     logp_old: np.ndarray
-    rewards: np.ndarray
-    values_old: np.ndarray
-    dones: np.ndarray
-    legal: np.ndarray
     probs_old: np.ndarray
-    advantages: np.ndarray = field(default=None)
-    returns: np.ndarray = field(default=None)
+    advantages: np.ndarray
+    returns: np.ndarray
 
     def __len__(self) -> int:
         return self.obs.shape[0]
@@ -230,40 +229,25 @@ class TrajectoryBatch:
     def subset(self, idx: np.ndarray) -> "TrajectoryBatch":
         return TrajectoryBatch(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
-    def finalize(self, gamma: float, gae_lambda: float, bootstrap: np.ndarray | None = None) -> None:
-        adv, ret = gae_advantages(
-            self.rewards, self.values_old, self.dones, gamma, gae_lambda, bootstrap
-        )
-        self.returns = ret
-        std = adv.std()
-        self.advantages = (adv - adv.mean()) / (std if std > 1e-8 else 1.0)
-
 
 def gae_advantages(
     rewards: np.ndarray,
     values: np.ndarray,
-    dones: np.ndarray,
+    last_value: float,
     gamma: float,
     gae_lambda: float,
-    bootstrap: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage recursion truncated at episode boundaries;
-    the batch must consist of whole episodes (its last step is `done`).
-    After a `done` row t the next value is `bootstrap[t]`: V(s_T) for an
-    episode cut at the step cap, 0 (the default) for one that ended.
-    Returns (advantages, returns) with returns = advantages + values."""
-    n = len(rewards)
-    advantages = np.zeros(n, dtype=np.float64)
-    running = 0.0
-    for t in range(n - 1, -1, -1):
-        if dones[t]:
-            next_value = 0.0 if bootstrap is None else bootstrap[t]
-            running = 0.0
-        else:
-            next_value = values[t + 1]
+    """Generalized advantage recursion over one episode. `last_value` is the
+    value after its last step: V(s_T) for an episode cut at the step cap, 0
+    for one that ended. Returns (advantages, returns) with returns =
+    advantages + values."""
+    advantages = np.zeros(len(rewards), dtype=np.float64)
+    running, next_value = 0.0, last_value
+    for t in range(len(rewards) - 1, -1, -1):
         delta = rewards[t] + gamma * next_value - values[t]
         running = delta + gamma * gae_lambda * running
         advantages[t] = running
+        next_value = values[t]
     return advantages, advantages + values
 
 
@@ -275,7 +259,7 @@ def _check_finite(name: str, value, diagnostics: dict) -> None:
 def _loss_pieces(params: PolicyParams, batch: TrajectoryBatch, hp: HyperParams):
     x = np.asarray(batch.obs, dtype=np.float64)
     h1, h2, logits, values = _layers(params, x)
-    probs, logp_all = masked_log_softmax(logits, batch.legal)
+    probs, logp_all = masked_log_softmax(logits, legal_mask(x[:, params.num_attack_steps :]))
     n = len(batch)
     rows = np.arange(n)
     logp = logp_all[rows, batch.actions]
@@ -543,39 +527,42 @@ def collect_batch(
     first_episode: int,
 ) -> tuple[TrajectoryBatch, dict]:
     """Roll whole episodes with the current stochastic policy until at least
-    hp.train_batch steps are gathered. The last step of every episode is
-    `done`; an episode cut at the step cap is bootstrapped from the value of
-    its last observation, computed without drawing from any stream."""
+    hp.train_batch steps are gathered. Each episode's advantages and returns
+    are computed as it ends; one cut at the step cap is bootstrapped from
+    the value of its last observation, computed without drawing from any
+    stream. Advantages are normalized once over the batch."""
     defender = LearnedDefender(params)
-    decisions, reward_rows, done_rows, bootstrap_rows = [], [], [], []
+    decisions, advantages, returns = [], [], []
     episode_rewards, episode_flags = [], []
     episode = first_episode
-    while len(reward_rows) < hp.train_batch:
+    while len(decisions) < hp.train_batch:
         record = engine.run_episode(
             graph, attacker, defender, noise, rewards, seed,
             episode=episode, context=engine.CONTEXT_TRAIN,
         )
-        decisions.extend(defender.decisions)
-        reward_rows.extend(row.reward for row in record.steps)
-        done_rows.extend([False] * (record.length - 1) + [True])
         last_value = forward(params, record.steps[-1].obs.vector())[1] if record.truncated else 0.0
-        bootstrap_rows.extend([0.0] * (record.length - 1) + [last_value])
+        adv, ret = gae_advantages(
+            np.array([row.reward for row in record.steps], dtype=np.float64),
+            np.array([d.value for d in defender.decisions], dtype=np.float64),
+            last_value, hp.gamma, hp.gae_lambda,
+        )
+        decisions.extend(defender.decisions)
+        advantages.append(adv)
+        returns.append(ret)
         episode_rewards.append(record.cumulative_reward)
         episode_flags.append(record.flags_fraction)
         episode += 1
 
-    obs = np.array([d.obs.vector() for d in decisions])
+    adv = np.concatenate(advantages)
+    std = adv.std()
     batch = TrajectoryBatch(
-        obs=obs,
+        obs=np.array([d.obs.vector() for d in decisions]),
         actions=np.array([d.action for d in decisions], dtype=np.int64),
         logp_old=np.array([d.logp for d in decisions], dtype=np.float64),
-        rewards=np.array(reward_rows, dtype=np.float64),
-        values_old=np.array([d.value for d in decisions], dtype=np.float64),
-        dones=np.array(done_rows, dtype=bool),
-        legal=legal_mask(obs[:, graph.num_attack_steps :]),
         probs_old=np.array([d.probs for d in decisions], dtype=np.float64),
+        advantages=(adv - adv.mean()) / (std if std > 1e-8 else 1.0),
+        returns=np.concatenate(returns),
     )
-    batch.finalize(hp.gamma, hp.gae_lambda, np.array(bootstrap_rows, dtype=np.float64))
     stats = {
         "episodes": episode - first_episode,
         "mean_episode_reward": float(np.mean(episode_rewards)),

@@ -151,6 +151,26 @@ def masked_log_softmax_oracle(logits, legal):
     return probs, logp
 
 
+def gae_oracle(rewards, values, dones, bootstrap, gamma, gae_lambda):
+    """GAE in its first form: one recursion over a whole batch of episodes,
+    reset after each `done` row t, where the next value is `bootstrap[t]`
+    (V(s_T) for an episode cut at the step cap, 0 for one that ended).
+    Returns (advantages, advantages + values)."""
+    n = len(rewards)
+    advantages = np.zeros(n, dtype=np.float64)
+    running = 0.0
+    for t in range(n - 1, -1, -1):
+        if dones[t]:
+            next_value = bootstrap[t]
+            running = 0.0
+        else:
+            next_value = values[t + 1]
+        delta = rewards[t] + gamma * next_value - values[t]
+        running = delta + gamma * gae_lambda * running
+        advantages[t] = running
+    return advantages, advantages + values
+
+
 def episode_streams_oracle(seed: int, episode: int, context: int):
     """`engine.episode_streams` in its first form: a root SeedSequence of
     (seed, context, episode) and its spawn(3) children."""

@@ -510,24 +510,6 @@ class TestRunEpisode:
             assert record.cumulative_reward == -rewards.flag_cost * len(g.flag_ids)
             assert not record.truncated
 
-    def test_reward_bound_over_random_episodes(self, two_keys_graph):
-        rewards = default_rewards(two_keys_graph)
-        d = two_keys_graph.num_defense_steps
-        for ep in range(200):
-            record = run_episode(
-                two_keys_graph,
-                make_attacker("random"),
-                make_defender("random"),
-                NO_NOISE,
-                rewards,
-                seed=11,
-                episode=ep,
-            )
-            # the closed-form bound assumes length >= |D|; shorter episodes
-            # are bounded by the |D|-length value a fortiori
-            bound = min_reward_bound(two_keys_graph, rewards, max(record.length, d))
-            assert bound <= record.cumulative_reward <= 0.0
-
     def test_deterministic_with_fixed_seed(self, four_ways_graph):
         rewards = default_rewards(four_ways_graph)
         noise = NoiseConfig(fpr=0.2, fnr=0.1)

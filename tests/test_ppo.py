@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -29,7 +30,7 @@ from attacksim.ppo import (
     train,
 )
 
-from conftest import JSON_LEAVES, JSON_VALUES, masked_log_softmax_oracle
+from conftest import JSON_LEAVES, JSON_VALUES, gae_oracle, masked_log_softmax_oracle
 
 
 def zero_params(num_attack=3, num_defense=2, hidden=(4, 4)):
@@ -47,9 +48,10 @@ def make_batch(
     hp: HyperParams | None = None,
     legal: np.ndarray | None = None,
 ) -> TrajectoryBatch:
-    """Synthetic whole-episode batch; log-probs and value estimates come from
+    """Synthetic one-episode batch; log-probs and value estimates come from
     the behavior params (defaults to `params` itself, giving ratio 1). The
-    legal mask is drawn at random unless given."""
+    legal mask is drawn at random unless given, and written into the inputs'
+    defense columns, from which the loss rebuilds it."""
     behavior = behavior or params
     hp = hp or HyperParams()
     obs = rng.integers(0, 2, size=(n, params.input_dim)).astype(np.float64)
@@ -58,26 +60,22 @@ def make_batch(
         for i in range(n):
             for j in range(params.action_dim - 1):
                 legal[i, j] = rng.random() < 0.7
+    obs[:, params.num_attack_steps :] = ~legal[:, :-1]
     logits, values = forward(behavior, obs)
     probs, logp_all = masked_log_softmax(logits, legal)
     actions = np.array(
         [ppo._draw(probs[i].cumsum(), rng) for i in range(n)], dtype=np.int64
     )
-    rewards = -rng.random(n) * 3.0
-    dones = rng.random(n) < 0.3
-    dones[-1] = True
-    batch = TrajectoryBatch(
+    adv, returns = gae_advantages(-rng.random(n) * 3.0, values, 0.0, hp.gamma, hp.gae_lambda)
+    std = adv.std()
+    return TrajectoryBatch(
         obs=obs,
         actions=actions,
         logp_old=logp_all[np.arange(n), actions],
-        rewards=rewards,
-        values_old=values,
-        dones=dones,
-        legal=legal,
         probs_old=probs,
+        advantages=(adv - adv.mean()) / (std if std > 1e-8 else 1.0),
+        returns=returns,
     )
-    batch.finalize(hp.gamma, hp.gae_lambda)
-    return batch
 
 
 class TestForward:
@@ -261,8 +259,7 @@ class TestGae:
     def test_lambda_zero_is_td_residual(self):
         rewards = np.array([-1.0, -2.0, -3.0])
         values = np.array([1.0, 2.0, 3.0])
-        dones = np.array([False, False, True])
-        adv, ret = gae_advantages(rewards, values, dones, gamma=0.9, gae_lambda=0.0)
+        adv, ret = gae_advantages(rewards, values, 0.0, gamma=0.9, gae_lambda=0.0)
         expected = [
             -1.0 + 0.9 * 2.0 - 1.0,
             -2.0 + 0.9 * 3.0 - 2.0,
@@ -274,8 +271,7 @@ class TestGae:
     def test_monte_carlo_case(self):
         rewards = np.array([1.0, 2.0, 3.0, 4.0])
         values = np.zeros(4)
-        dones = np.array([False, False, False, True])
-        adv, _ = gae_advantages(rewards, values, dones, gamma=1.0, gae_lambda=1.0)
+        adv, _ = gae_advantages(rewards, values, 0.0, gamma=1.0, gae_lambda=1.0)
         assert np.allclose(adv, [10.0, 9.0, 7.0, 4.0])
 
     def test_hand_unrolled_three_step_trace(self):
@@ -289,34 +285,24 @@ class TestGae:
         #   A0 = -5.75 + 0.9405*(-6.6405) = -11.99539025
         rewards = np.array([-1.0, -1.0, -31.0])
         values = np.array([-20.0, -25.0, -30.0])
-        dones = np.array([False, False, True])
-        adv, ret = gae_advantages(rewards, values, dones, gamma=0.99, gae_lambda=0.95)
+        adv, ret = gae_advantages(rewards, values, 0.0, gamma=0.99, gae_lambda=0.95)
         assert np.allclose(adv, [-11.99539025, -6.6405, -1.0])
         assert np.allclose(ret, [-31.99539025, -31.6405, -31.0])
-
-    def test_resets_across_episode_boundaries(self):
-        rewards = np.array([-1.0, -1.0, -1.0, -1.0])
-        values = np.zeros(4)
-        dones = np.array([False, True, False, True])
-        adv, _ = gae_advantages(rewards, values, dones, gamma=1.0, gae_lambda=1.0)
-        assert np.allclose(adv, [-2.0, -1.0, -2.0, -1.0])
 
 
 class TestTruncationBootstrap:
     def test_hand_unrolled_cut_episode(self):
-        # rows 0-1 are one episode cut at the cap with V(s_T) = 5, row 2 one
-        # that ended; r=[-1,-2,-3], V=[1,2,3], gamma=0.9, lambda=0.5:
-        #   d2 = -3 - 3 = -6                A2 = -6
+        # a two-step episode cut at the cap with V(s_T) = 5, then a one-step
+        # episode that ended; r=[-1,-2 | -3], V=[1,2 | 3], gamma=0.9, lambda=0.5:
         #   d1 = -2 + 0.9*5 - 2 = 0.5       A1 = 0.5
         #   d0 = -1 + 0.9*2 - 1 = -0.2      A0 = -0.2 + 0.45*0.5 = 0.025
-        rewards = np.array([-1.0, -2.0, -3.0])
-        values = np.array([1.0, 2.0, 3.0])
-        dones = np.array([False, True, True])
-        adv, ret = gae_advantages(
-            rewards, values, dones, gamma=0.9, gae_lambda=0.5, bootstrap=np.array([0.0, 5.0, 0.0])
-        )
-        assert np.allclose(adv, [0.025, 0.5, -6.0])
-        assert np.allclose(ret, [1.025, 2.5, -3.0])
+        #   d  = -3 - 3 = -6                A  = -6
+        adv, ret = gae_advantages(np.array([-1.0, -2.0]), np.array([1.0, 2.0]), 5.0, gamma=0.9, gae_lambda=0.5)
+        assert np.allclose(adv, [0.025, 0.5])
+        assert np.allclose(ret, [1.025, 2.5])
+        adv, ret = gae_advantages(np.array([-3.0]), np.array([3.0]), 0.0, gamma=0.9, gae_lambda=0.5)
+        assert np.allclose(adv, [-6.0])
+        assert np.allclose(ret, [-3.0])
 
     def test_collect_batch_bootstraps_only_episodes_cut_at_the_cap(self, four_ways_graph, monkeypatch):
         g = four_ways_graph
@@ -326,6 +312,7 @@ class TestTruncationBootstrap:
         attacker, noise, rewards = make_attacker("dfs"), NoiseConfig(0.1, 0.1), default_rewards(g)
         batch, stats = ppo.collect_batch(g, params, attacker, noise, rewards, hp, seed=3, first_episode=0)
         row, cut, ended = 0, 0, 0
+        rewards_rows, values_rows, done_rows, bootstrap_rows = [], [], [], []
         for episode in range(stats["episodes"]):
             defender = ppo.LearnedDefender(params)
             record = run_episode(
@@ -334,16 +321,28 @@ class TestTruncationBootstrap:
             # the bootstrap value draws nothing: the batch holds this replay's decisions
             assert batch.actions[row : row + record.length].tolist() == [d.action for d in defender.decisions]
             row += record.length
-            last = row - 1
+            last, last_reward = row - 1, record.steps[-1].reward
+            bootstrap = 0.0
             if record.truncated:
                 cut += 1
                 bootstrap = forward(params, record.steps[-1].obs.vector())[1]
                 assert bootstrap != 0.0
-                assert batch.returns[last] == pytest.approx(batch.rewards[last] + 0.9 * bootstrap, abs=1e-12)
+                assert batch.returns[last] == pytest.approx(last_reward + 0.9 * bootstrap, abs=1e-12)
             else:
                 ended += 1
-                assert batch.returns[last] == pytest.approx(batch.rewards[last], abs=1e-12)
+                assert batch.returns[last] == pytest.approx(last_reward, abs=1e-12)
+            rewards_rows.extend(step.reward for step in record.steps)
+            values_rows.extend(d.value for d in defender.decisions)
+            done_rows.extend([False] * (record.length - 1) + [True])
+            bootstrap_rows.extend([0.0] * (record.length - 1) + [bootstrap])
         assert row == len(batch) and cut > 0 and ended > 0
+        # the per-episode recursion equals the whole-batch one, bit for bit
+        adv, returns = gae_oracle(
+            np.array(rewards_rows), np.array(values_rows), done_rows, np.array(bootstrap_rows), 0.9, 0.5
+        )
+        std = adv.std()
+        assert np.array_equal(batch.advantages, (adv - adv.mean()) / (std if std > 1e-8 else 1.0))
+        assert np.array_equal(batch.returns, returns)
 
 
 class TestPpoLoss:
@@ -370,10 +369,6 @@ class TestPpoLoss:
             obs=obs,
             actions=np.array([0]),
             logp_old=logp_all[[0], [0]] - np.log(1.5),
-            rewards=np.array([0.0]),
-            values_old=values,
-            dones=np.array([True]),
-            legal=legal,
             probs_old=probs,
             advantages=np.array([2.0]),
             returns=values.copy(),
@@ -392,10 +387,6 @@ class TestPpoLoss:
             obs=obs,
             actions=np.array([0]),
             logp_old=logp_all[[0], [0]] - np.log(3.0),  # ratio 3 > 1
-            rewards=np.array([0.0]),
-            values_old=values,
-            dones=np.array([True]),
-            legal=legal,
             probs_old=probs,
             advantages=np.array([1.5]),
             returns=values.copy(),
@@ -416,10 +407,6 @@ class TestPpoLoss:
                 obs=obs,
                 actions=np.array([0]),
                 logp_old=logp_all[[0], [0]] - np.log(ratio),
-                rewards=np.array([0.0]),
-                values_old=values,
-                dones=np.array([True]),
-                legal=legal,
                 probs_old=probs,
                 advantages=np.array([2.0]),
                 returns=values.copy(),
@@ -439,12 +426,29 @@ class TestPpoLoss:
         batch = make_batch(current, rng, n=512, behavior=behavior)
         hp = HyperParams(k_kl=1.0)
         logits, _ = forward(current, batch.obs)
-        probs, logp_all = masked_log_softmax(logits, batch.legal)
+        probs, logp_all = masked_log_softmax(logits, ppo.legal_mask(batch.obs[:, current.num_attack_steps :]))
         with np.errstate(divide="ignore"):
             logp_old_all = np.where(batch.probs_old > 0, np.log(batch.probs_old), 0.0)
         logp_cur = np.where(batch.probs_old > 0, logp_all, 0.0)
         kl = (batch.probs_old * (logp_old_all - logp_cur)).sum(axis=-1).mean()
         assert kl >= -1e-10
+
+    def test_update_reads_every_field_of_the_batch(self):
+        rng = np.random.default_rng(5)
+        params = init_params(3, 2, rng, hidden=(4, 4))
+        batch = make_batch(params, rng)
+        read = set()
+
+        class Recorder:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(batch, name)
+
+            def __len__(self):
+                return len(batch)
+
+        ppo_loss_and_grads(params, Recorder(), HyperParams(k_s=0.01))
+        assert {f.name for f in dataclasses.fields(TrajectoryBatch)} - read == set()
 
     def test_non_finite_inputs_raise(self):
         rng = np.random.default_rng(4)
@@ -494,7 +498,7 @@ class TestGradients:
         batches = [make_batch(params, rng, n=16, behavior=behavior, hp=hp)]
         # the one-legal-action corner: in every other row only the no-op is
         # legal, so logp is -inf on all of that row's other actions
-        only_noop = batches[0].legal.copy()
+        only_noop = ppo.legal_mask(batches[0].obs[:, params.num_attack_steps :])
         only_noop[::2, :-1] = False
         batches.append(make_batch(params, rng, n=16, behavior=behavior, hp=hp, legal=only_noop))
         for batch in batches:
