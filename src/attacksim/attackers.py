@@ -37,6 +37,7 @@ def make_attacker(kind: str):
     return _CLASSES[canonical_kind(kind)]()
 
 
+# kept: one sort per call reads gen200 x0.95, 2.4 us against 0.22 us a call
 class _SortedSurface:
     """`sorted(state.surface)`, re-sorted only when `state.surface_version`
     has changed since the last call."""
@@ -125,6 +126,7 @@ class _FrontierAttacker:
             return None
         # every surface step is queued after a select, so only a changed
         # surface can hold fresh ones (and shuffling none draws nothing)
+        # kept: a scan per select reads gen200 x0.88, 2.4 us against 0.26 us a select
         if state.surface_version != self._version:
             self._version = state.surface_version
             fresh = sorted(surface - self._queued)
@@ -227,66 +229,36 @@ def attainment_costs(
 class PathfinderAttacker:
     """Full-information attacker: plans the cheapest work-step route to each
     flag from the sampled TTCs, targets flags in order of increasing path
-    cost, and replans when a defense cuts the route."""
+    cost, and works the cheapest route step on the surface.
+
+    It replans on an enable, which replaces `state.enabled_bits` (a
+    `sync_derived` rebuild counts as one), and when its target is captured.
+    While the state moves only by `step()`, a held target always has a route
+    step on the surface, as costs fall strictly along each step's best
+    parents. With no target, or no route step after a direct edit, it picks
+    uniformly from the surface."""
 
     kind = "pathfinder"
 
     def reset(self, graph, state, rng):
         self._graph = graph
         self._choose = UniformChooser(rng).choice
-        self._target: str | None = None
-        self._needed: set[str] = set()
-        self._costs: dict[str, float] = {}
         self._options = _SortedSurface()
-        # the last choice taken from the plan and the surface version it
-        # was made at
-        self._choice: str | None = None
-        self._choice_version = None
         self._replan(state)
 
     def select(self, state):
         if not state.surface:
             return None
-        # Staleness, the compromised set and the surface all change only
-        # with a new surface version, so an unchanged version repeats the
-        # plan's last choice.
-        if state.surface_version == self._choice_version:
-            return self._choice
-        if self._plan_stale(state):
+        if state.enabled_bits is not self._enabled_bits or self._target in state.captured_flags:
             self._replan(state)
-        choice = self._next_on_plan(state)
-        if choice is None and self._target is not None:
-            self._replan(state)
-            choice = self._next_on_plan(state)
-        if choice is None:
-            return self._choose(self._options(state))
-        self._choice, self._choice_version = choice, state.surface_version
-        return choice
-
-    def _plan_stale(self, state) -> bool:
-        # With no flag reachable, only an enable can change that: compromise
-        # only works steps that are already reachable, and captured flags
-        # only grow. So "no target" holds until state.enabled changes. The
-        # enabled bits are replaced on each enable and each sync_derived,
-        # so the set is compared only when they have been.
-        if state.enabled_bits is not self._enabled_bits:
-            self._enabled_bits = state.enabled_bits
-            if frozenset(state.enabled) != self._enabled_seen:
-                return True
-        return self._target is not None and self._target in state.captured_flags
-
-    def _next_on_plan(self, state) -> str | None:
-        if self._target is None:
-            return None
-        self._needed -= state.compromised
+        # the surface holds no compromised step, so this drops them too
         candidates = self._needed & state.surface
         if not candidates:
-            return None
-        return min(candidates, key=lambda sid: (self._costs.get(sid, math.inf), sid))
+            return self._choose(self._options(state))
+        return min(candidates, key=lambda sid: (self._costs[sid], sid))
 
     def _replan(self, state) -> None:
         graph = self._graph
-        self._enabled_seen = frozenset(state.enabled)
         self._enabled_bits = state.enabled_bits
         self._costs = attainment_costs(
             graph, state.remaining_ttc, state.compromised, state.enabled

@@ -289,11 +289,13 @@ def _cmd_generate(args) -> int:
 
 
 def _load_policy_arg(args):
-    if args.defender == "learned":
-        if not args.policy_file:
-            raise ValueError("--defender learned requires --policy-file")
-        return ppo.load_policy(args.policy_file)
-    return None
+    if args.defender != "learned":
+        if args.policy_file is not None:
+            raise ValueError(f"--policy-file is read only by --defender learned, not {args.defender}")
+        return None
+    if not args.policy_file:
+        raise ValueError("--defender learned requires --policy-file")
+    return ppo.load_policy(args.policy_file)
 
 
 def _cmd_simulate(args) -> int:

@@ -83,6 +83,7 @@ class TripwireDefender:
         self._disabled: list[int] = []
 
     def select(self, observation):
+        # kept: a scan of the defense bits per select reads gen200 x0.87, 2.6 us against 1.8 us a select
         if observation.defense_bits is not self._bits:
             self._bits = observation.defense_bits
             self._disabled = _disabled_indices(observation)

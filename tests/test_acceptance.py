@@ -164,18 +164,28 @@ def test_criterion_05_attack_surface_oracle():
         assert states_checked >= 10_000
 
 
+def _optimality_inputs():
+    """Criterion 06's 20 graphs with `seed=trial`, then 20 more from rng 33,
+    each episode seed drawn after its graph."""
+    rng = np.random.default_rng(6)
+    for trial in range(20):
+        yield build_random_graph(rng, or_only=True, max_defense=0, flag_prob=0.3), trial
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        graph = build_random_graph(rng, or_only=True, max_defense=0, flag_prob=0.3)
+        yield graph, int(rng.integers(10_000))
+
+
 def test_criterion_06_pathfinder_optimality():
     with criterion(6, "pathfinder time-to-first-flag equals Dijkstra work-step cost"):
-        rng = np.random.default_rng(6)
-        for trial in range(20):
-            graph = build_random_graph(rng, or_only=True, max_defense=0, flag_prob=0.3)
+        for graph, seed in _optimality_inputs():
             record = run_episode(
                 graph,
                 make_attacker("pathfinder"),
                 make_defender("none"),
                 NO_NOISE,
                 RewardConfig(1.0, 5.0),
-                seed=trial,
+                seed=seed,
             )
             work = {sid: work_steps(record.sampled_ttc[sid]) for sid in graph.attack_ids}
             dist = dijkstra_work_steps(graph, work, {graph.entry_id})

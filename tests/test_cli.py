@@ -312,6 +312,21 @@ class TestTrainEvaluate:
         assert run_cli(["evaluate", "--graph", "toy", "--defender", "learned"]) == 2
         assert "--policy-file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    def test_policy_file_without_learned_fails_before_any_episode(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(experiments, "run_episode", no_episode)
+        argv = [command, "--graph", "toy", "--defender", "tripwire",
+                "--policy-file", str(tmp_path / "missing.json")]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attacksim: error: --policy-file ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "flag, value, field",
         [
