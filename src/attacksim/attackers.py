@@ -165,12 +165,6 @@ class DepthFirstAttacker(_FrontierAttacker):
     select = _FrontierAttacker.select
 
 
-def work_steps(remaining: float) -> int:
-    """Attacker work-steps needed to compromise a step with the given
-    remaining TTC: one decrement per step, compromise at <= 0."""
-    return max(1, int(math.ceil(remaining)))
-
-
 def attainment_costs(
     graph: AttackGraph,
     remaining_ttc: dict[str, float],
@@ -192,8 +186,9 @@ def attainment_costs(
         sid: 0.0 if sid in compromised else math.inf for sid in graph.attack_ids
     }
     ceil = math.ceil
-    # the steps a sweep can price, each with its own work (`work_steps`):
-    # uncompromised, not blocked by an enabled defense, with attack parents
+    # the steps a sweep can price (uncompromised, not blocked by an enabled
+    # defense, with attack parents), each with its own work: the work-steps
+    # its remaining TTC needs at one decrement a step, ceil(TTC) and at least 1
     priced = [
         (sid, parents, is_or, float(max(1, ceil(remaining_ttc[sid]))))
         for sid, (parents, is_or, defense_parents) in graph.parent_rules.items()

@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="random")
     p.add_argument("--defender", choices=DEFENDER_KINDS, default="none")
     p.add_argument("--policy-file", help="policy parameters for --defender learned")
-    p.add_argument("--mode", choices=ppo.ACTION_MODES, default="sample", help="learned-defender action mode")
+    p.add_argument("--mode", choices=ppo.ACTION_MODES, help="learned-defender action mode (default sample)")
     _add_noise_flags(p)
     _add_reward_flags(p)
     p.add_argument("--episodes", type=int, default=10)
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacker", choices=ATTACKER_CHOICES, default="dfs")
     p.add_argument("--defender", choices=DEFENDER_KINDS, default="random")
     p.add_argument("--policy-file")
-    p.add_argument("--mode", choices=ppo.ACTION_MODES, default="sample")
+    p.add_argument("--mode", choices=ppo.ACTION_MODES, help="learned-defender action mode (default sample)")
     _add_noise_flags(p)
     _add_reward_flags(p)
     p.add_argument("--episodes", type=int, default=experiments.DESK_EPISODES)
@@ -290,8 +290,9 @@ def _cmd_generate(args) -> int:
 
 def _load_policy_arg(args):
     if args.defender != "learned":
-        if args.policy_file is not None:
-            raise ValueError(f"--policy-file is read only by --defender learned, not {args.defender}")
+        for flag, value in (("--policy-file", args.policy_file), ("--mode", args.mode)):
+            if value is not None:
+                raise ValueError(f"{flag} is read only by --defender learned, not {args.defender}")
         return None
     if not args.policy_file:
         raise ValueError("--defender learned requires --policy-file")
@@ -305,7 +306,7 @@ def _cmd_simulate(args) -> int:
     records = experiments.episode_records(
         graph, args.attacker, args.defender, NoiseConfig(fpr=args.fpr, fnr=args.fnr),
         _rewards_for(graph, args), args.seed, args.episodes,
-        policy=_load_policy_arg(args), mode=args.mode,
+        policy=_load_policy_arg(args), mode=args.mode or "sample",
     )
     # each record is dropped once read: only its CSV row and line are kept
     outcomes, lines = [], []
@@ -357,7 +358,7 @@ def _cmd_evaluate(args) -> int:
     graph = _resolve_graph(args.graph)
     rows = experiments.evaluate(
         graph, canonical_kind(args.attacker), args.defender, NoiseConfig(fpr=args.fpr, fnr=args.fnr),
-        _rewards_for(graph, args), args.episodes, tuple(args.seeds), _load_policy_arg(args), args.mode,
+        _rewards_for(graph, args), args.episodes, tuple(args.seeds), _load_policy_arg(args), args.mode or "sample",
     )
     if args.out:
         experiments.write_metrics_csv(rows, args.out)

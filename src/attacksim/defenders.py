@@ -6,10 +6,10 @@ currently disabled defense step per time-step, or no-op (None), from the
 observation alone: a defense bit of 0 is a legal enable. Returning anything
 else is an engine contract violation.
 
-What a defender derives from the defense bits is rebuilt only when
-`observation.defense_bits` is a different array: the engine hands out one
-read-only array per enabled set and replaces it on each enable, so the
-bits of an array never change while it is in use.
+Only tripwire keeps a view of the defense bits (its disabled indices),
+rebuilt only when `observation.defense_bits` is a different array: the
+engine hands out one read-only array per enabled set and replaces it on
+each enable, so the bits of an array never change while it is in use.
 """
 
 from __future__ import annotations
@@ -56,14 +56,9 @@ class RandomDefender:
     def reset(self, graph, rng):
         self._defense_ids = graph.defense_ids
         self._choose = UniformChooser(rng).choice
-        self._bits = None
-        self._options: list[str | None] = []
 
     def select(self, observation):
-        if observation.defense_bits is not self._bits:
-            self._bits = observation.defense_bits
-            self._options = [self._defense_ids[i] for i in _disabled_indices(observation)] + [None]
-        return self._choose(self._options)
+        return self._choose([self._defense_ids[i] for i in _disabled_indices(observation)] + [None])
 
 
 class TripwireDefender:

@@ -252,21 +252,15 @@ def init_episode(
     graph: AttackGraph,
     noise: NoiseConfig,
     rewards: RewardConfig,
-    seed: int | np.random.Generator,
-    episode: int = 0,
-    context: int = CONTEXT_EVAL,
+    rng: np.random.Generator,
 ) -> SimState:
     """Fresh episode state: only the entry step compromised, no defenses
-    enabled, TTCs sampled. `seed` may be a master seed (the environment
-    stream is derived from it) or an already-derived Generator. The
+    enabled, TTCs sampled from `rng`, the episode's environment stream
+    (`episode_streams(...)[0]`), which the state keeps for its noise. The
     derived fields are copied from the graph's entry snapshot, built on
     the graph's first episode; they equal what `sync_derived` would
     rebuild, at surface version 1."""
     entry = _entry_snapshot(graph)
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = episode_streams(seed, episode, context)[0]
     state = SimState(
         graph=graph,
         noise=noise,
@@ -349,11 +343,11 @@ def _set_truth(state: SimState, i: int, bit: int) -> None:
         bits[row:, i] = u >= state.noise.fnr if bit else u < state.noise.fpr
 
 
-def reward_of(
-    state: SimState, flags_captured_now: set[str] | frozenset[str], rewards: RewardConfig
-) -> float:
-    """Defender reward for one time-step: upkeep for every enabled defense
-    plus a one-time penalty for each flag captured this step."""
+def reward_of(state: SimState, flags_captured_now: set[str] | frozenset[str]) -> float:
+    """Defender reward for one time-step, at `state.rewards`: upkeep for
+    every enabled defense plus a one-time penalty for each flag captured
+    this step."""
+    rewards = state.rewards
     return -(
         len(state.enabled) * rewards.defense_cost
         + len(flags_captured_now) * rewards.flag_cost
@@ -439,7 +433,7 @@ def step(
         state.t,
         attacker_action,
         defender_action,
-        reward_of(state, flags_now, state.rewards),
+        reward_of(state, flags_now),
         not surface,
         observe(state),
     )

@@ -111,12 +111,6 @@ class AttackGraph:
     def num_defense_steps(self) -> int:
         return len(self.defense_steps)
 
-    def attack_parents(self, step_id: str) -> tuple[str, ...]:
-        return self.parent_rules[step_id][0]
-
-    def defense_parents(self, step_id: str) -> tuple[str, ...]:
-        return self.parent_rules[step_id][2]
-
     def children(self, node_id: str) -> tuple[str, ...]:
         return self._children[node_id]
 

@@ -101,10 +101,6 @@ class PolicyParams:
         return self.w1.shape[0]
 
     @property
-    def action_dim(self) -> int:
-        return self.wp.shape[1]
-
-    @property
     def hidden_dims(self) -> tuple[int, int]:
         return (self.w1.shape[1], self.w2.shape[1])
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from attacksim.attackers import work_steps
+from attacksim.engine import episode_streams
 from attacksim.graph import AttackGraph, AttackStep, DefenseStep, bundled_graph
 
 
@@ -249,6 +249,18 @@ class ReferenceEpisode:
         return reward, self.observe(), not self.surface
 
 
+def work_steps_oracle(ttc: float) -> int:
+    """Attacker work-steps to compromise a step with remaining TTC `ttc`:
+    one decrement per work-step, compromise at <= 0."""
+    return max(1, math.ceil(ttc))
+
+
+def env_stream(seed: int, episode: int = 0):
+    """The environment stream `run_episode` builds for (seed, episode) in
+    the evaluation context, as `init_episode` takes it."""
+    return episode_streams(seed, episode)[0]
+
+
 def attainment_costs_oracle(
     graph: AttackGraph,
     remaining_ttc: dict[str, float],
@@ -256,14 +268,14 @@ def attainment_costs_oracle(
     enabled: set[str],
 ) -> dict[str, float]:
     """`attackers.attainment_costs` in its first form: every sweep reads the
-    graph accessors and prices each step's own work again."""
+    parent-rule table and prices each step's own work again."""
     cost = {
         sid: 0.0 if sid in compromised else math.inf for sid in graph.attack_ids
     }
     blocked = {
         sid
         for sid in graph.attack_ids
-        if any(d in enabled for d in graph.defense_parents(sid))
+        if any(d in enabled for d in graph.parent_rules[sid][2])
     }
     changed = True
     while changed:
@@ -272,10 +284,10 @@ def attainment_costs_oracle(
             sid = step_obj.id
             if sid in compromised or sid in blocked:
                 continue
-            parents = graph.attack_parents(sid)
+            parents = graph.parent_rules[sid][0]
             if not parents:
                 continue
-            own = float(work_steps(remaining_ttc[sid]))
+            own = float(work_steps_oracle(remaining_ttc[sid]))
             if step_obj.logic == "or":
                 best = min(cost[p] for p in parents)
                 if math.isinf(best):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from attacksim import ppo
-from attacksim.attackers import make_attacker, work_steps
+from attacksim.attackers import make_attacker
 from attacksim.cli import main as cli_main
 from attacksim.defenders import make_defender
 from attacksim.engine import (
@@ -40,7 +40,7 @@ from attacksim.graph import (
     validate,
 )
 
-from conftest import build_random_graph, reward_ttest, surface_oracle
+from conftest import build_random_graph, env_stream, reward_ttest, surface_oracle, work_steps_oracle
 from test_attackers import dijkstra_work_steps
 from test_ppo import fd_gradients, make_batch, max_rel_error
 
@@ -102,7 +102,7 @@ def test_criterion_03_noise_calibration():
             edges=frozenset(("entry", f"s{i}") for i in range(n - 1)),
         )
         noise = NoiseConfig(fpr=0.25, fnr=0.125)
-        state = init_episode(graph, noise, RewardConfig(1.0, 1.0), seed=17)
+        state = init_episode(graph, noise, RewardConfig(1.0, 1.0), env_stream(17))
         state.compromised = set(list(graph.attack_ids)[: n // 2])
         sync_derived(state)
         compromised = np.array([sid in state.compromised for sid in graph.attack_ids])
@@ -187,7 +187,7 @@ def test_criterion_06_pathfinder_optimality():
                 RewardConfig(1.0, 5.0),
                 seed=seed,
             )
-            work = {sid: work_steps(record.sampled_ttc[sid]) for sid in graph.attack_ids}
+            work = {sid: work_steps_oracle(record.sampled_ttc[sid]) for sid in graph.attack_ids}
             dist = dijkstra_work_steps(graph, work, {graph.entry_id})
             optimal = min(dist[fid] for fid in graph.flag_ids)
             captures = [i for i, row in enumerate(record.steps) if row.reward < 0]
@@ -369,7 +369,7 @@ def test_criterion_12_generator_contract():
             assert graph.num_defense_steps == size // 20
             guards = {}
             for fid in graph.flag_ids:
-                parents = graph.defense_parents(fid)
+                parents = graph.parent_rules[fid][2]
                 assert len(parents) == 1, f"flag {fid} must have exactly one defense"
                 guards[fid] = parents[0]
             assert len(set(guards.values())) == len(guards), "defenses must be distinct"

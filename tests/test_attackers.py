@@ -29,12 +29,11 @@ from attacksim.attackers import (
     attainment_costs,
     canonical_kind,
     make_attacker,
-    work_steps,
 )
 from attacksim.defenders import DEFENDER_KINDS, make_defender
 from attacksim.ppo import init_params
 
-from conftest import attainment_costs_oracle, build_random_graph
+from conftest import attainment_costs_oracle, build_random_graph, env_stream, work_steps_oracle
 
 NO_NOISE = NoiseConfig(0.0, 0.0)
 UNIT_REWARDS = RewardConfig(defense_cost=1.0, flag_cost=1.0)
@@ -52,7 +51,7 @@ def or_chain(ids_with_ttc):
 
 
 def fresh_state(graph, seed=1):
-    return init_episode(graph, NO_NOISE, UNIT_REWARDS, seed=seed)
+    return init_episode(graph, NO_NOISE, UNIT_REWARDS, env_stream(seed))
 
 
 def exhausted_state():
@@ -276,10 +275,11 @@ class TestDepthFirst:
 
 class TestWorkSteps:
     def test_rounding_semantics(self):
-        assert work_steps(2.3) == 3
-        assert work_steps(2.0) == 2
-        assert work_steps(0.0) == 1
-        assert work_steps(0.4) == 1
+        # the work rule lives in attainment_costs: the cost of one step
+        # next to the compromised entry is that step's own work
+        g = or_chain([("a", 1.0)])
+        for ttc, work in ((2.3, 3), (2.0, 2), (0.0, 1), (0.4, 1)):
+            assert attainment_costs(g, {"entry": 0.0, "a": ttc}, {"entry"}, set())["a"] == work
 
 
 class TestAttainmentCosts:
@@ -288,7 +288,7 @@ class TestAttainmentCosts:
         for _ in range(20):
             g = build_random_graph(rng, or_only=True, max_defense=0)
             state = fresh_state(g, seed=int(rng.integers(1000)))
-            work = {sid: work_steps(state.remaining_ttc[sid]) for sid in g.attack_ids}
+            work = {sid: work_steps_oracle(state.remaining_ttc[sid]) for sid in g.attack_ids}
             costs = attainment_costs(g, state.remaining_ttc, state.compromised, set())
             oracle = dijkstra_work_steps(g, work, state.compromised)
             for sid in g.attack_ids:
@@ -647,7 +647,7 @@ class TestActionsAlwaysOnSurface:
         rng = np.random.default_rng(hash(kind) % 2**32)
         for _ in range(30):
             g = build_random_graph(rng)
-            state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=int(rng.integers(1000)))
+            state = init_episode(g, NO_NOISE, UNIT_REWARDS, env_stream(int(rng.integers(1000))))
             attacker = make_attacker(kind)
             attacker.reset(g, state, np.random.default_rng(int(rng.integers(1000))))
             defender = make_defender("random")
@@ -683,7 +683,7 @@ class TestCachedViews:
         noise = NoiseConfig(0.2, 0.2)
         for episode in range(40):
             g = build_random_graph(rng, max_attack=14, ttc_range=(0.5, 3.0))
-            state = init_episode(g, noise, UNIT_REWARDS, seed=episode)
+            state = init_episode(g, noise, UNIT_REWARDS, env_stream(episode))
             cached.reset(g, state, np.random.default_rng(episode))
             rebuilt.reset(g, state, np.random.default_rng(episode))
             defender.reset(g, np.random.default_rng(episode))

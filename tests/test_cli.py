@@ -328,6 +328,35 @@ class TestTrainEvaluate:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--graph", "toy", "--defender", "random", "--mode", "greedy"],
+            ["evaluate", "--graph", "toy", "--defender", "tripwire", "--mode", "greedy", "--seeds", "1"],
+        ],
+        ids=["simulate", "evaluate"],
+    )
+    def test_mode_without_learned_fails_before_any_episode(self, capsys, monkeypatch, argv):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(experiments, "run_episode", no_episode)
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attacksim: error: --mode ")
+        assert len(err.splitlines()) == 1
+
+    def test_learned_mode_defaults_to_sample(self, tmp_path, capsys):
+        g, policy = bundled_graph("four_ways"), tmp_path / "policy.json"
+        save_policy(init_params(g.num_attack_steps, g.num_defense_steps, np.random.default_rng(0)), policy)
+        argv = ["simulate", "--graph", "four_ways", "--defender", "learned", "--policy-file", str(policy),
+                "--episodes", "20", "--json"]
+        outputs = []
+        for mode in ([], ["--mode", "sample"], ["--mode", "greedy"]):
+            assert run_cli(argv + mode) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+
+    @pytest.mark.parametrize(
         "flag, value, field",
         [
             ("--minibatch", "0", "minibatch"),

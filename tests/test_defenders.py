@@ -24,7 +24,7 @@ from attacksim.attackers import ATTACKER_KINDS, make_attacker
 from attacksim.defenders import _disabled_indices, make_defender
 from attacksim import ppo
 
-from conftest import build_random_graph
+from conftest import build_random_graph, env_stream
 
 NO_NOISE = NoiseConfig(0.0, 0.0)
 
@@ -125,7 +125,7 @@ class TestTripwire:
         rewards = default_rewards(g)
         noise = NoiseConfig(fpr=0.0, fnr=0.4)
         for ep in range(10):
-            state = init_episode(g, noise, rewards, seed=31, episode=ep)
+            state = init_episode(g, noise, rewards, env_stream(31, ep))
             attacker = make_attacker("random")
             attacker.reset(g, state, np.random.default_rng(ep))
             defender = make_defender("tripwire")
@@ -143,7 +143,7 @@ class TestTripwire:
         # triggers some defense enable on the following step
         g = two_defense_graph()
         rewards = default_rewards(g)
-        state = init_episode(g, NO_NOISE, rewards, seed=5)
+        state = init_episode(g, NO_NOISE, rewards, env_stream(5))
         state.remaining_ttc["a"] = 1.0
         defender = make_defender("tripwire")
         defender.reset(g, np.random.default_rng(0))
@@ -267,7 +267,7 @@ class TestCachedViews:
             if kind == "learned":
                 params = ppo.init_params(g.num_attack_steps, g.num_defense_steps, rng)
                 cached.params = rebuilt.params = params
-            state = init_episode(g, NoiseConfig(0.3, 0.1), RewardConfig(1.0, 1.0), seed=episode)
+            state = init_episode(g, NoiseConfig(0.3, 0.1), RewardConfig(1.0, 1.0), env_stream(episode))
             cached.reset(g, np.random.default_rng(episode))
             rebuilt.reset(g, np.random.default_rng(episode))
             attacker.reset(g, state, np.random.default_rng(episode))
@@ -281,14 +281,10 @@ class TestCachedViews:
                     sync_derived(state)
                     obs = observe(state)
                 choice = cached.select(obs)
-                fresh = _disabled_indices(obs)
                 if kind == "tripwire":
-                    assert cached._disabled == fresh
+                    assert cached._disabled == _disabled_indices(obs)
                     rebuilt._bits = None
-                elif kind == "random":
-                    assert cached._options == [g.defense_ids[i] for i in fresh] + [None]
-                    rebuilt._bits = None
-                else:
+                elif kind == "learned":
                     # the learned defender's one kept view is its memo
                     rebuilt._memo.clear()
                 assert rebuilt.select(obs) == choice

@@ -39,6 +39,7 @@ from attacksim.ppo import ACTION_MODES, init_params
 from conftest import (
     ReferenceEpisode,
     build_random_graph,
+    env_stream,
     episode_streams_oracle,
     sample_ttc_oracle,
     surface_oracle,
@@ -105,7 +106,7 @@ class TestSampleTtc:
 
 class TestInitEpisode:
     def test_initial_state(self, four_ways_graph):
-        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, env_stream(1))
         assert state.compromised == {"entry"}
         assert state.enabled == set()
         assert state.captured_flags == set()
@@ -114,22 +115,22 @@ class TestInitEpisode:
         assert surface == {"recon_north", "recon_east", "recon_south", "recon_west"}
 
     def test_deterministic_under_seed(self, four_ways_graph):
-        a = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=7)
-        b = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=7)
+        a = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, env_stream(7))
+        b = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, env_stream(7))
         assert a.remaining_ttc == b.remaining_ttc
         assert a.compromised == b.compromised
 
     def test_invalid_graph_rejected(self):
         bad = AttackGraph(attack_steps=(AttackStep(id="a"),))
         with pytest.raises(ValueError, match="invalid graph"):
-            init_episode(bad, NO_NOISE, UNIT_REWARDS, seed=1)
+            init_episode(bad, NO_NOISE, UNIT_REWARDS, env_stream(1))
 
     def test_ttc_sum_too_large_for_the_step_cap_rejected(self):
         # load_graph rejects such a document; a graph built in code meets
         # the same check when its first episode builds the step cap
         big = chain_graph([1e308, 1e308])
         with pytest.raises(ValueError, match="too large for the step cap"):
-            init_episode(big, NO_NOISE, UNIT_REWARDS, seed=1)
+            init_episode(big, NO_NOISE, UNIT_REWARDS, env_stream(1))
 
     def test_graph_validated_once_across_episodes(self, monkeypatch):
         g = chain_graph([1.0, 2.0])
@@ -137,13 +138,13 @@ class TestInitEpisode:
         real = graph_module.validate
         monkeypatch.setattr(graph_module, "validate", lambda gr: calls.append(gr) or real(gr))
         for seed in range(3):
-            init_episode(g, NO_NOISE, UNIT_REWARDS, seed=seed)
+            init_episode(g, NO_NOISE, UNIT_REWARDS, env_stream(seed))
         assert len(calls) == 1
 
 
 class TestObserve:
     def test_noiseless_identity(self, four_ways_graph):
-        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, env_stream(1))
         state.compromised |= {"recon_north", "breach_north"}
         sync_derived(state)
         obs = observe(state)
@@ -155,21 +156,21 @@ class TestObserve:
 
     def test_fpr_one_reads_all_ones(self, four_ways_graph):
         state = init_episode(
-            four_ways_graph, NoiseConfig(fpr=1.0, fnr=0.0), UNIT_REWARDS, seed=1
+            four_ways_graph, NoiseConfig(fpr=1.0, fnr=0.0), UNIT_REWARDS, env_stream(1)
         )
         obs = observe(state)
         assert obs.attack_bits.tolist() == [1] * four_ways_graph.num_attack_steps
 
     def test_fnr_one_reads_all_zeros_for_compromised(self, four_ways_graph):
         state = init_episode(
-            four_ways_graph, NoiseConfig(fpr=0.0, fnr=1.0), UNIT_REWARDS, seed=1
+            four_ways_graph, NoiseConfig(fpr=0.0, fnr=1.0), UNIT_REWARDS, env_stream(1)
         )
         obs = observe(state)
         assert obs.attack_bits.tolist() == [0] * four_ways_graph.num_attack_steps
 
     def test_defense_bits_exact(self, four_ways_graph):
         state = init_episode(
-            four_ways_graph, NoiseConfig(fpr=0.5, fnr=0.5), UNIT_REWARDS, seed=1
+            four_ways_graph, NoiseConfig(fpr=0.5, fnr=0.5), UNIT_REWARDS, env_stream(1)
         )
         state.enabled.add("block_east")
         sync_derived(state)
@@ -178,7 +179,7 @@ class TestObserve:
         assert obs.defense_bits.tolist() == expected
 
     def test_observation_is_a_snapshot(self, four_ways_graph):
-        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, env_stream(1))
         before = observe(state)
         step(state, "recon_north", "block_east")
         assert before.defense_bits.tolist() == [0, 0, 0, 0]
@@ -187,7 +188,7 @@ class TestObserve:
         ]
 
     def test_defense_bits_shared_until_an_enable_and_read_only(self, four_ways_graph):
-        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, env_stream(1))
         first = step(state, min(state.surface), None)
         second = step(state, min(state.surface), None)
         assert second.obs.defense_bits is first.obs.defense_bits
@@ -279,7 +280,7 @@ class TestObservationBitsBlock:
         assert ("sync", 9, 10) in seen and ("sync", 21, 6) in seen
 
     def test_observation_value_semantics(self, four_ways_graph):
-        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, env_stream(1))
         first, second = observe(state), observe(state)
         assert first.attack_bits is not second.attack_bits
         assert first == second and not first != second
@@ -295,29 +296,29 @@ class TestObservationBitsBlock:
 class TestRewardOf:
     def test_hand_evaluated(self, four_ways_graph):
         state = init_episode(
-            four_ways_graph, NO_NOISE, RewardConfig(1.0, 30.0), seed=1
+            four_ways_graph, NO_NOISE, RewardConfig(1.0, 30.0), env_stream(1)
         )
         state.enabled |= {"block_north", "block_east"}
-        assert reward_of(state, {"flag_north"}, RewardConfig(1.0, 30.0)) == -32.0
+        assert reward_of(state, {"flag_north"}) == -32.0
 
     def test_zero_when_nothing_enabled_or_captured(self, four_ways_graph):
-        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, seed=1)
-        assert reward_of(state, set(), UNIT_REWARDS) == 0.0
+        state = init_episode(four_ways_graph, NO_NOISE, UNIT_REWARDS, env_stream(1))
+        assert reward_of(state, set()) == 0.0
 
     def test_flag_penalty_charged_once(self):
         g = chain_graph([0.0])
-        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(g, NO_NOISE, UNIT_REWARDS, env_stream(1))
         outcome = step(state, "s1", None)
         assert state.captured_flags == {"s1"}
         assert outcome.reward == -10.0
         # a later capture of the same flag carries no penalty
-        assert reward_of(state, set(), UNIT_REWARDS) == 0.0
+        assert reward_of(state, set()) == 0.0
 
 
 class TestStep:
     def test_zero_ttc_step_compromised_in_one_work_step(self):
         g = chain_graph([0.0], flag_last=False)
-        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(g, NO_NOISE, UNIT_REWARDS, env_stream(1))
         assert state.remaining_ttc["s1"] == 0.0
         outcome = step(state, "s1", None)
         assert "s1" in state.compromised
@@ -326,7 +327,7 @@ class TestStep:
 
     def test_positive_ttc_needs_multiple_steps(self):
         g = chain_graph([5.0], flag_last=False)
-        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(g, NO_NOISE, UNIT_REWARDS, env_stream(1))
         state.remaining_ttc["s1"] = 2.3
         step(state, "s1", None)
         assert "s1" not in state.compromised
@@ -338,7 +339,7 @@ class TestStep:
 
     def test_defended_step_uncompromised_and_never_resurfaces(self):
         g = chain_graph([0.0, 1.0], flag_last=False, defense_on="s1")
-        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(g, NO_NOISE, UNIT_REWARDS, env_stream(1))
         step(state, "s1", None)
         assert "s1" in state.compromised
         outcome = step(state, "s2", "d")
@@ -350,7 +351,7 @@ class TestStep:
     def test_defender_preempts_attacker_same_step(self):
         # defense enabled this very step blocks the attacker's work on its child
         g = chain_graph([0.0], flag_last=True, defense_on="s1")
-        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(g, NO_NOISE, UNIT_REWARDS, env_stream(1))
         outcome = step(state, "s1", "d")
         assert "s1" not in state.compromised
         assert state.captured_flags == set()
@@ -359,7 +360,7 @@ class TestStep:
 
     def test_terminal_step_with_empty_surface(self):
         g = chain_graph([0.0], flag_last=False, defense_on="s1")
-        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(g, NO_NOISE, UNIT_REWARDS, env_stream(1))
         step(state, "s1", "d")  # surface now empty
         outcome = step(state, None, None)
         assert outcome.done
@@ -367,7 +368,7 @@ class TestStep:
 
     def test_contract_violations_rejected(self):
         g = chain_graph([1.0], flag_last=False, defense_on="s1")
-        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(g, NO_NOISE, UNIT_REWARDS, env_stream(1))
         with pytest.raises(ValueError, match="not on the attack surface"):
             step(state, "entry", None)
         with pytest.raises(ValueError, match="attacker must act"):
@@ -413,7 +414,7 @@ class TestMaintainedSurface:
         # entry -> s1 -> s2, defense d on s1: enabling d after s1 fell
         # uncompromises s1, so s2 must leave the surface with it
         g = chain_graph([1.0, 1.0], flag_last=False, defense_on="s1")
-        state = init_episode(g, NO_NOISE, UNIT_REWARDS, seed=1)
+        state = init_episode(g, NO_NOISE, UNIT_REWARDS, env_stream(1))
         state.remaining_ttc["s1"] = 1.0
         step(state, "s1", None)
         assert state.surface == {"s2"}
@@ -429,7 +430,7 @@ class TestMaintainedSurface:
         g = build_random_graph(rng, ttc_range=(0.5, 3.0))
         # distinct rates, so a threshold left at the wrong rate shows
         noise = data.draw(st.sampled_from([NO_NOISE, NoiseConfig(fpr=0.3, fnr=0.1)]))
-        state = init_episode(g, noise, UNIT_REWARDS, seed=int(rng.integers(1000)))
+        state = init_episode(g, noise, UNIT_REWARDS, env_stream(int(rng.integers(1000))))
         assert state.surface == surface_oracle(g, state.compromised, state.enabled)
         _assert_bits_match_sets(g, state)
         for _ in range(200):
@@ -542,7 +543,7 @@ class TestRunEpisode:
     def test_noiseless_observation_tracks_truth(self, two_keys_graph):
         rewards = default_rewards(two_keys_graph)
         g = two_keys_graph
-        state = init_episode(g, NO_NOISE, rewards, seed=2)
+        state = init_episode(g, NO_NOISE, rewards, env_stream(2))
         attacker = make_attacker("bfs")
         attacker.reset(g, state, np.random.default_rng(0))
         for _ in range(40):
@@ -857,7 +858,7 @@ class TestEntrySnapshot:
         for g in _snapshot_graphs():
             rewards = default_rewards(g)
             for noise in SNAPSHOT_NOISES:
-                state = init_episode(g, noise, rewards, seed=3)
+                state = init_episode(g, noise, rewards, env_stream(3))
                 assert state.compromised == {g.entry_id}
                 assert state.enabled == set()
                 _assert_matches_rebuild(state)
@@ -865,19 +866,19 @@ class TestEntrySnapshot:
                 enabled_any = enabled_any or bool(state.enabled)
                 # the episode's enables and compromises left the next
                 # episode's start untouched
-                fresh = init_episode(g, noise, rewards, seed=4)
+                fresh = init_episode(g, noise, rewards, env_stream(4))
                 assert fresh.compromised == {g.entry_id}
                 assert fresh.enabled == set()
                 _assert_matches_rebuild(fresh)
                 # one read-only all-zero enabled vector shared by every start
-                assert fresh.enabled_bits is init_episode(g, noise, rewards, seed=5).enabled_bits
+                assert fresh.enabled_bits is init_episode(g, noise, rewards, env_stream(5)).enabled_bits
         assert enabled_any
 
     def test_graph_copies_build_their_own_snapshot(self, four_ways_graph):
         rewards = default_rewards(four_ways_graph)
-        original = init_episode(four_ways_graph, NO_NOISE, rewards, seed=1)
+        original = init_episode(four_ways_graph, NO_NOISE, rewards, env_stream(1))
         for copy in (pickle.loads(pickle.dumps(four_ways_graph, protocol=p)) for p in (2, 4, 5)):
-            state = init_episode(copy, NO_NOISE, rewards, seed=1)
+            state = init_episode(copy, NO_NOISE, rewards, env_stream(1))
             _assert_matches_rebuild(state)
             assert state.enabled_bits is not original.enabled_bits
             assert state.remaining_ttc == original.remaining_ttc

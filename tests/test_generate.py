@@ -40,13 +40,13 @@ class TestGenerate:
         assert g.num_attack_steps == 20
         assert len(g.flag_ids) == 1
         assert g.num_defense_steps == 1
-        assert g.defense_parents(g.flag_ids[0]) == (g.defense_ids[0],)
+        assert g.parent_rules[g.flag_ids[0]][2] == (g.defense_ids[0],)
 
     def test_size_80_has_four_guarded_flags(self):
         g = generate(GenConfig(num_attack_steps=80, seed=1))
         assert len(g.flag_ids) == 4
         assert g.num_defense_steps == 4
-        guards = {g.defense_parents(fid)[0] for fid in g.flag_ids}
+        guards = {g.parent_rules[fid][2][0] for fid in g.flag_ids}
         assert len(guards) == 4, "each flag must have its own defense"
 
     @pytest.mark.parametrize("size", [20, 40, 60, 80])
@@ -71,7 +71,7 @@ class TestGenerate:
             g = generate(GenConfig(num_attack_steps=60, seed=seed, and_fraction=0.6))
             for step in g.attack_steps:
                 if step.logic == "and":
-                    assert len(g.attack_parents(step.id)) >= 2
+                    assert len(g.parent_rules[step.id][0]) >= 2
 
     def test_flags_reachable_ignoring_defenses(self):
         for seed in range(5):

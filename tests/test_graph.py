@@ -25,7 +25,7 @@ from attacksim.graph import (
 from attacksim.engine import NoiseConfig, init_episode
 from attacksim.generate import GenConfig, generate
 
-from conftest import JSON_LEAVES, JSON_VALUES, build_random_graph, reachable_oracle
+from conftest import JSON_LEAVES, JSON_VALUES, build_random_graph, env_stream, reachable_oracle
 
 
 _TTC_SUM_INF = (
@@ -393,7 +393,7 @@ class TestDocumentFormat:
         assert str(err.value) == expected
         rewards = RewardConfig(defense_cost=1.0, flag_cost=1.0)
         with pytest.raises(GraphFormatError) as err:
-            init_episode(_overflowing_chain(), NoiseConfig(fpr=0.0, fnr=0.0), rewards, seed=1)
+            init_episode(_overflowing_chain(), NoiseConfig(fpr=0.0, fnr=0.0), rewards, env_stream(1))
         assert str(err.value) == expected
 
     def test_parse_errors_carry_context(self):
@@ -453,7 +453,7 @@ class TestDocumentFormat:
         assert len(g.flag_ids) == 4
         assert g.num_defense_steps == 4
         for fid in g.flag_ids:
-            assert g.defense_parents(fid), f"flag {fid} has no guarding defense"
+            assert g.parent_rules[fid][2], f"flag {fid} has no guarding defense"
 
     def test_unknown_bundled_name(self):
         with pytest.raises(KeyError):

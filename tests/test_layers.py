@@ -1,7 +1,9 @@
 """The package's import layers: relative imports between the modules of
 src/attacksim form no cycle, and none of them names a private attribute,
 so each decision has one home module that the others only import from;
-and each fast path kept in the code has its measured row in README."""
+each fast path kept in the code has its measured row in README; and each
+function, class and method of the package is read by the package or the
+benchmark, not only by tests."""
 
 import ast
 import graphlib
@@ -61,3 +63,34 @@ def test_each_kept_fast_path_has_its_readme_row():
     section = readme.split("\n## Fast paths\n", 1)[1].split("\n## ", 1)[0]
     table = [line for line in section.splitlines() if line.startswith("|")]
     assert kept == len(table) - 2  # less the header and its rule
+
+
+def test_every_src_name_has_a_caller_outside_tests():
+    # each function, class and method of the package is read somewhere in
+    # the package or the benchmark; a method only as an attribute, and a
+    # re-export in __init__.py is no read
+    defined, names, attributes = [], set(), set()
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    for path in paths + sorted((PACKAGE.parents[1] / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, False))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (item.name, True)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                ]
+    unread = sorted(
+        name for name, is_method in defined
+        if name not in attributes and (is_method or name not in names)
+    )
+    assert unread == []

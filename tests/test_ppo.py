@@ -56,9 +56,9 @@ def make_batch(
     hp = hp or HyperParams()
     obs = rng.integers(0, 2, size=(n, params.input_dim)).astype(np.float64)
     if legal is None:
-        legal = np.ones((n, params.action_dim), dtype=bool)
+        legal = np.ones((n, params.num_defense_steps + 1), dtype=bool)
         for i in range(n):
-            for j in range(params.action_dim - 1):
+            for j in range(params.num_defense_steps):
                 legal[i, j] = rng.random() < 0.7
     obs[:, params.num_attack_steps :] = ~legal[:, :-1]
     logits, values = forward(behavior, obs)
@@ -152,7 +152,7 @@ class TestForward:
             ):
                 logits, value = forward(params, x)
                 batch_logits, batch_values = forward(params, x[None, :])
-                assert logits.shape == (params.action_dim,)
+                assert logits.shape == (params.num_defense_steps + 1,)
                 assert np.array_equal(logits, batch_logits[0])
                 assert type(value) is float
                 assert value == batch_values[0]
@@ -362,7 +362,7 @@ class TestPpoLoss:
         # min(1.5*2, 1.02*2) = 2.04, policy term -2.04
         params = zero_params()
         obs = np.zeros((1, params.input_dim))
-        legal = np.ones((1, params.action_dim), dtype=bool)
+        legal = np.ones((1, params.num_defense_steps + 1), dtype=bool)
         logits, values = forward(params, obs)
         probs, logp_all = masked_log_softmax(logits, legal)
         batch = TrajectoryBatch(
@@ -380,7 +380,7 @@ class TestPpoLoss:
     def test_eps_zero_fully_clips_large_ratios(self):
         params = zero_params()
         obs = np.zeros((1, params.input_dim))
-        legal = np.ones((1, params.action_dim), dtype=bool)
+        legal = np.ones((1, params.num_defense_steps + 1), dtype=bool)
         logits, values = forward(params, obs)
         probs, logp_all = masked_log_softmax(logits, legal)
         batch = TrajectoryBatch(
@@ -398,7 +398,7 @@ class TestPpoLoss:
     def test_clip_invariant_to_scaling_ratio_beyond_bounds(self):
         params = zero_params()
         obs = np.zeros((1, params.input_dim))
-        legal = np.ones((1, params.action_dim), dtype=bool)
+        legal = np.ones((1, params.num_defense_steps + 1), dtype=bool)
         logits, values = forward(params, obs)
         probs, logp_all = masked_log_softmax(logits, legal)
 
